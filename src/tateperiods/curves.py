@@ -751,10 +751,14 @@ def graph_from_dict(data) -> tuple[StableGraph, dict | None]:
         if not isinstance(ends, (list, tuple)) or len(ends) != 2:
             raise ParseError(f"edge {e!r} needs exactly two endpoints")
         edges[e] = (ends[0], ends[1])
-    try:
-        numbering = {t: int(i) for t, i in numbering_raw.items()}
-    except (TypeError, ValueError):
-        raise ParseError("numbering values must be integers") from None
+    numbering: dict[str, int] = {}
+    for t, i in numbering_raw.items():
+        if isinstance(i, bool) or (isinstance(i, float) and not i.is_integer()):
+            raise ParseError(f"numbering value {i!r} of tail {t!r} is not an integer")
+        try:
+            numbering[t] = int(i)
+        except (TypeError, ValueError):
+            raise ParseError("numbering values must be integers") from None
     try:
         g = StableGraph(tuple(vertices), edges, dict(tails_raw), numbering)
     except PreconditionError as exc:

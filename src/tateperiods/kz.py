@@ -6,26 +6,28 @@ from shuffle-regularized words; `numeric_transport_oracle` solves the actual
 horizontal-section problem at arbitrary precision and is the package's
 independent check on every sign and ordering convention.
 
-Oracle scheme: at a singular endpoint the normalized solution factors as
-exp(X log u) . H(z) with u the local parameter of the tangential point and H
-the unique analytic Frobenius tail, computed by a weight-graded power-series
-recursion; between the endpoint disks the system is integrated on panels by
-Chebyshev-Lobatto collocation, panels subdivided until every panel is at least
-three half-widths away from the singularities.  Every transport runs twice at
-different resolutions and the runs must agree to the precision budget.
+Oracle scheme: one Taylor recursion serves singular and regular points alike.
+Around a point c the normalized solution factors as exp(X_c log u) . H(z) with
+u the local parameter of the tangential point, X_c the residue at c (zero at a
+regular point) and H analytic; its coefficients come from a weight-graded
+recursion that carries one geometric accumulator per pole.  The path is
+covered by such local series, each evaluated at most a fixed fraction of the
+way to the nearest other pole: one from each singular endpoint, then regular
+Taylor steps in between.  Every transport runs twice with different step
+fractions and the runs must agree to the precision budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import mpmath as mp
 
 from .errors import NumericBudgetError, PreconditionError
 from .mzv import KZ_LETTERS, X0, X1, shuffle_regularize
-from .ncalg import NCSeries, nc_exp, nc_inverse, nc_multiply, substitute_letters
+from .ncalg import NCSeries, _is_zero, nc_exp, nc_inverse, nc_multiply, substitute_letters
 from .periodring import PeriodElem
 
 INF = "inf"
@@ -73,7 +75,7 @@ class KZConnection:
                 letters = x.letters
             elif x.letters != letters:
                 raise PreconditionError("all residues must share one alphabet")
-            if not _zero_constant(x):
+            if not _is_zero(x.constant_term()):
                 raise PreconditionError(f"residue at {key} must have zero constant term")
             res[key] = x.truncate(self.trunc)
         if letters is None:
@@ -97,14 +99,6 @@ class KZConnection:
         for p, x in self.residues.items():
             total = x if total is None else total + x
         return -total
-
-
-def _zero_constant(x: NCSeries) -> bool:
-    c = x.constant_term()
-    try:
-        return bool(c == 0)
-    except TypeError:
-        return False
 
 
 def associator_connection(N: int) -> KZConnection:
@@ -131,7 +125,7 @@ def drinfeld_associator(N: int) -> NCSeries:
 def fusing_connection_matrix(X: NCSeries, Y: NCSeries, N: int) -> NCSeries:
     """Substitute X for x0 and Y for x1 in the associator."""
     for arg, name in ((X, "X"), (Y, "Y")):
-        if not _zero_constant(arg):
+        if not _is_zero(arg.constant_term()):
             raise PreconditionError(f"{name} must have zero constant term (weight >= 1)")
     images = {X0: _over_period_ring(X).truncate(N), X1: _over_period_ring(Y).truncate(N)}
     return substitute_letters(drinfeld_associator(N), images)
@@ -139,7 +133,7 @@ def fusing_connection_matrix(X: NCSeries, Y: NCSeries, N: int) -> NCSeries:
 
 def rotation_monodromy(X: NCSeries, k: int, N: int) -> NCSeries:
     """nc_exp(k * i*pi * X) over the period ring."""
-    if not _zero_constant(X):
+    if not _is_zero(X.constant_term()):
         raise PreconditionError("rotation argument must have zero constant term")
     lifted = _over_period_ring(X).truncate(N)
     return nc_exp(lifted.scale(PeriodElem.ipi() * k))
@@ -155,6 +149,12 @@ def _over_period_ring(x: NCSeries) -> NCSeries:
 # Numeric oracle.
 # ---------------------------------------------------------------------------
 
+# Step ratios of the coarse and the fine run: every local series is evaluated
+# at most this fraction of its radius of convergence away from its centre.
+STEP_RATIOS = (Fraction(1, 2), Fraction(1, 3))
+# A local series stops after this many consecutive orders below the target.
+QUIET_ORDERS = 4
+
 
 def numeric_transport_oracle(conn: KZConnection, frm, to, N: int, precision: int) -> NCSeries:
     """Transport series along the straight segment, with tangential
@@ -169,10 +169,16 @@ def numeric_transport_oracle(conn: KZConnection, frm, to, N: int, precision: int
     for p in sings:
         if lo < p < hi:
             raise PreconditionError(f"path passes through the singular point {p}")
+    sign = 1 if to.base > frm.base else -1
+    for pt, into, what in ((frm, sign, "outgoing"), (to, -sign, "incoming")):
+        if pt.base in sings and into * pt.direction < 0:
+            raise PreconditionError(f"{what} tangential direction must point into the path")
     dps = precision + 18
     with mp.workdps(dps):
-        coarse = _transport(conn, frm, to, N, dps, refine=False)
-        fine = _transport(conn, frm, to, N, dps, refine=True)
+        unit = NCSeries.unit(conn.letters, N, mp.mpf(1))
+        res = {p: _to_numeric(x, N, unit.one) for p, x in conn.residues.items() if p != INF}
+        eps = mp.mpf(10) ** (-(dps - 4)) / 4
+        coarse, fine = (_transport(res, frm, to, unit, eps, rho) for rho in STEP_RATIOS)
         tol = mp.mpf(10) ** (-(precision + 2))
         for w in set(coarse.coeffs) | set(fine.coeffs):
             if abs(coarse.coefficient(w) - fine.coefficient(w)) > tol:
@@ -190,63 +196,46 @@ def _as_tangential(x, toward) -> TangentialPoint:
     return TangentialPoint(base=base, direction=direction)
 
 
-def _transport(conn: KZConnection, frm: TangentialPoint, to: TangentialPoint,
-               N: int, dps: int, refine: bool) -> NCSeries:
-    letters = conn.letters
-    one = mp.mpf(1)
-    numeric_res = {p: _to_numeric(x, N, one) for p, x in conn.residues.items() if p != INF}
-    sings = sorted(numeric_res)
-    eps_target = mp.mpf(10) ** (-(dps - 4))
-    nodes = int((dps + 10) * mp.mpf("1.15") / mp.mpf("0.7656")) + 1
-    if refine:
-        nodes = nodes + nodes // 4 + 10
+def _transport(res: dict, frm: TangentialPoint, to: TangentialPoint, unit: NCSeries, eps,
+               rho: Fraction) -> NCSeries:
+    """Product of local solutions from `frm` to `to`, each evaluated at most
+    `rho` of the distance from its centre to the nearest other pole."""
+    sign = 1 if to.base > frm.base else -1
+    length = abs(to.base - frm.base)
 
+    def reach(z: Fraction) -> Fraction:
+        return rho * min((abs(z - p) for p in res if p != z), default=length / rho)
+
+    # With both endpoints singular, their series meet at most half way.
+    share = length / 2 if frm.base in res and to.base in res else length
     factors: list[NCSeries] = []
-    z1, z2 = frm.base, to.base
-    path_sign = 1 if to.base > frm.base else -1
-
-    if frm.base in numeric_res:
-        u_sign = Fraction(path_sign) / (frm.direction * frm.scale)
-        if u_sign <= 0:
-            raise PreconditionError("outgoing tangential direction must point into the path")
-        radius = min(abs(frm.base - p) for p in sings if p != frm.base) if len(sings) > 1 else Fraction(1)
-        delta = min(Fraction(radius, 3), abs(to.base - frm.base) / 2)
-        z1 = frm.base + path_sign * delta
-        X_a = numeric_res[frm.base]
-        H = _endpoint_series(numeric_res, frm.base, mp.mpf(path_sign) * mp.mpf(delta.numerator) / delta.denominator,
-                             N, letters, one, eps_target, refine)
-        u1 = mp.mpf((z1 - frm.base).numerator) / (z1 - frm.base).denominator
-        u1 = u1 / (mp.mpf(frm.direction.numerator) / frm.direction.denominator)
-        u1 = u1 / (mp.mpf(frm.scale.numerator) / frm.scale.denominator)
-        factors.append(nc_exp(X_a.scale(mp.log(u1))))
-        factors.append(H)
-
     tail: list[NCSeries] = []
-    if to.base in numeric_res:
-        u_sign = Fraction(-path_sign) / (to.direction * to.scale)
-        if u_sign <= 0:
-            raise PreconditionError("incoming tangential direction must point into the path")
-        radius = min(abs(to.base - p) for p in sings if p != to.base) if len(sings) > 1 else Fraction(1)
-        delta = min(Fraction(radius, 3), abs(to.base - frm.base) / 2)
-        z2 = to.base - path_sign * delta
-        X_b = numeric_res[to.base]
-        H = _endpoint_series(numeric_res, to.base, -mp.mpf(path_sign) * mp.mpf(delta.numerator) / delta.denominator,
-                             N, letters, one, eps_target, refine)
-        u2 = mp.mpf((z2 - to.base).numerator) / (z2 - to.base).denominator
-        u2 = u2 / (mp.mpf(to.direction.numerator) / to.direction.denominator)
-        u2 = u2 / (mp.mpf(to.scale.numerator) / to.scale.denominator)
-        tail.append(nc_inverse(H))
-        tail.append(nc_exp(X_b.scale(-mp.log(u2))))
-
-    if z1 != z2:
-        for left, right in _split_panels(z1, z2, sings):
-            factors.append(_panel_transport(numeric_res, left, right, nodes, N, letters, one))
+    z, end = frm.base, to.base
+    if frm.base in res:
+        t = sign * min(reach(frm.base), share)
+        factors = [nc_exp(res[frm.base].scale(_log_parameter(frm, t))),
+                   _local_series(res, frm.base, t, unit, eps)]
+        z = frm.base + t
+    if to.base in res:
+        t = -sign * min(reach(to.base), share)
+        tail = [nc_inverse(_local_series(res, to.base, t, unit, eps)),
+                nc_exp(res[to.base].scale(-_log_parameter(to, t)))]
+        end = to.base + t
+    while z != end:
+        h = min(reach(z), abs(end - z))
+        factors.append(_local_series(res, z, sign * h, unit, eps))
+        z += sign * h
     factors.extend(tail)
 
-    out = NCSeries.unit(letters, N, one)
+    out = unit
     for f in factors:
         out = nc_multiply(out, f)
     return out
+
+
+def _log_parameter(pt: TangentialPoint, t: Fraction):
+    """log u at z = base + t, with u = t / (direction * scale) the tangential parameter."""
+    return mp.log(_mpf(t / (pt.direction * pt.scale)))
 
 
 def _to_numeric(x: NCSeries, N: int, one) -> NCSeries:
@@ -254,7 +243,7 @@ def _to_numeric(x: NCSeries, N: int, one) -> NCSeries:
         if isinstance(c, PeriodElem):
             c = c.as_rational()
         if isinstance(c, Fraction):
-            return mp.mpf(c.numerator) / c.denominator
+            return _mpf(c)
         if isinstance(c, int):
             return mp.mpf(c)
         return mp.mpmathify(c)
@@ -262,157 +251,37 @@ def _to_numeric(x: NCSeries, N: int, one) -> NCSeries:
     return x.truncate(N).map_coefficients(conv, one=one)
 
 
-def _endpoint_series(numeric_res, p: Fraction, t0, N: int, letters, one,
-                     eps_target, refine: bool) -> NCSeries:
-    """Frobenius tail H with exp(X_p log u) . H solving the connection near p,
-    evaluated at z = p + t0."""
-    X_p = numeric_res[p]
-    # W_m = -sum_{q != p} X_q / (q - p)^(m+1)
-    others = [(numeric_res[q], mp.mpf((q - p).numerator) / (q - p).denominator)
-              for q in numeric_res if q != p]
+def _local_series(res: dict, c: Fraction, t: Fraction, unit: NCSeries, eps) -> NCSeries:
+    """H(t) = sum_m H_m t^m, where f(c + t) = exp(X_c log u) . H(t) is the
+    solution normalized at c; X_c = 0 when c is a regular point.
 
-    def W(m: int) -> NCSeries:
-        out = NCSeries.zero(letters, N, one)
-        for Xq, d in others:
-            out = out + Xq.scale(-(d ** (-(m + 1))))
-        return out
-
-    block = 16
-    Kcap = 6000
-    H_list = [NCSeries.unit(letters, N, one)]
-    W_list: list[NCSeries] = []
-    value = NCSeries.unit(letters, N, one)
-    tpow = one
-    recent: list[mp.mpf] = []
-    while True:
-        for _ in range(block):
-            m = len(H_list)
-            W_list.append(W(m - 1))
-            rhs = NCSeries.zero(letters, N, one)
-            for j in range(m):
-                rhs = rhs + nc_multiply(H_list[j], W_list[m - 1 - j])
-            Y = rhs.scale(one / m)
-            for _ in range(N):
-                Y = (rhs + nc_multiply(Y, X_p) - nc_multiply(X_p, Y)).scale(one / m)
-            H_list.append(Y)
-            tpow = tpow * t0
-            term = Y.scale(tpow)
-            value = value + term
-            recent.append(max((abs(c) for c in term.coeffs.values()), default=mp.mpf(0)))
-            recent = recent[-12:]
-        if len(recent) == 12 and max(recent) < eps_target / 4:
-            break
-        if len(H_list) > Kcap:
-            raise NumericBudgetError("endpoint series does not certify; singularities too close")
-    if refine:
-        # continue a little further so the two resolutions genuinely differ
-        for _ in range(block):
-            m = len(H_list)
-            W_list.append(W(m - 1))
-            rhs = NCSeries.zero(letters, N, one)
-            for j in range(m):
-                rhs = rhs + nc_multiply(H_list[j], W_list[m - 1 - j])
-            Y = rhs.scale(one / m)
-            for _ in range(N):
-                Y = (rhs + nc_multiply(Y, X_p) - nc_multiply(X_p, Y)).scale(one / m)
-            H_list.append(Y)
-            tpow = tpow * t0
-            value = value + Y.scale(tpow)
+    Expanding dz/(z - q) around c, order m of the connection reads
+    m H_m - [H_m, X_c] = -sum_{q != c} A_q X_q with A_q = sum_{j<m} H_j / d_q^(m-j)
+    and d_q = q - c.  Each A_q is a geometric accumulator, A_q <- (A_q + H_m) / d_q,
+    so an order costs one product per pole; the commutator equation is solved
+    by its Neumann series, which ends because X_c raises the weight.  The
+    recursion runs on G_m = H_m t^m, so A_q is scaled by t / d_q instead."""
+    X_c = res.get(c)
+    poles = [(X_q, _mpf(t / (q - c))) for q, X_q in res.items() if q != c]
+    zero = NCSeries.zero(unit.letters, unit.trunc, unit.one)
+    term = value = unit
+    acc = [zero] * len(poles)
+    quiet = m = 0
+    while quiet < QUIET_ORDERS:
+        m += 1
+        acc = [(A + term).scale(r) for A, (_X, r) in zip(acc, poles)]
+        rhs = zero
+        for A, (X_q, _r) in zip(acc, poles):
+            rhs = rhs + nc_multiply(A, X_q)
+        term = correction = rhs.scale(-unit.one / m)
+        while X_c is not None and not correction.is_zero():
+            correction = (nc_multiply(correction, X_c) - nc_multiply(X_c, correction)).scale(unit.one / m)
+            term = term + correction
+        value = value + term
+        size = max((abs(v) for v in term.coeffs.values()), default=0)
+        quiet = quiet + 1 if size < eps else 0
     return value
 
 
-def _split_panels(z1: Fraction, z2: Fraction, sings: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def rec(a: Fraction, b: Fraction, depth: int):
-        if depth > 64:
-            raise NumericBudgetError("panel subdivision exploded; singularity on the path?")
-        c = (a + b) / 2
-        h = abs(b - a) / 2
-        dmin = min((abs(c - s) for s in sings), default=None)
-        if dmin is None or dmin >= 3 * h:
-            out.append((a, b))
-            return
-        rec(a, c, depth + 1)
-        rec(c, b, depth + 1)
-
-    rec(z1, z2, 0)
-    return out
-
-
-_CHEB_CACHE: dict[tuple[int, int], tuple[list[list[mp.mpf]], list[list[mp.mpf]], list[mp.mpf]]] = {}
-
-
-def _cheb_matrices(n: int) -> tuple[list[list[mp.mpf]], list[list[mp.mpf]], list[mp.mpf]]:
-    """(analysis matrix D: values -> coefficients, synthesis matrix V with n+2
-    columns: coefficients -> values, Lobatto nodes u_j descending)."""
-    key = (n, mp.mp.dps)
-    hit = _CHEB_CACHE.get(key)
-    if hit is not None:
-        return hit
-    nodes = [mp.cospi(mp.mpf(j) / n) for j in range(n + 1)]
-    cos = [[mp.cospi(mp.mpf(j * k % (2 * n)) / n) for k in range(n + 2)] for j in range(n + 1)]
-    D = []
-    for k in range(n + 1):
-        sigma = mp.mpf(1) / 2 if k in (0, n) else mp.mpf(1)
-        row = []
-        for j in range(n + 1):
-            w = mp.mpf(1) / 2 if j in (0, n) else mp.mpf(1)
-            row.append(2 * sigma * w * cos[j][k] / n)
-        D.append(row)
-    V = [[cos[j][k] for k in range(n + 2)] for j in range(n + 1)]
-    _CHEB_CACHE[key] = (D, V, nodes)
-    return D, V, nodes
-
-
-def _panel_transport(numeric_res, left: Fraction, right: Fraction, n: int,
-                     N: int, letters, one) -> NCSeries:
-    """Transport of the naive (unregularized) system across one panel."""
-    D, V, nodes = _cheb_matrices(n)
-    mid = mp.mpf((left + right).numerator) / (left + right).denominator / 2
-    half = (mp.mpf((right - left).numerator) / (right - left).denominator) / 2
-    zs = [mid + half * u for u in nodes]
-    # pole factors g_p(z) on the nodes
-    gs = {}
-    for p, Xp in numeric_res.items():
-        pv = mp.mpf(p.numerator) / p.denominator
-        gs[p] = [1 / (z - pv) for z in zs]
-    suffixes = {p: [(w, c) for w, c in Xp.coeffs.items()] for p, Xp in numeric_res.items()}
-
-    values: dict[tuple[str, ...], list[mp.mpf]] = {(): [one] * (n + 1)}
-    coeff_at_end: dict[tuple[str, ...], mp.mpf] = {(): one}
-    for weight in range(1, N + 1):
-        cands = set()
-        for sufs in suffixes.values():
-            for suf, _c in sufs:
-                ls = len(suf)
-                if 0 < ls <= weight:
-                    for head in values:
-                        if len(head) == weight - ls:
-                            cands.add(head + suf)
-        for v in sorted(cands):
-            # integrand collects every split v = head . residue-word
-            integrand = [mp.mpf(0)] * (n + 1)
-            for q, sufs_q in suffixes.items():
-                gq = gs[q]
-                for suf_q, cq in sufs_q:
-                    ls = len(suf_q)
-                    if ls == 0 or ls > len(v) or v[-ls:] != suf_q:
-                        continue
-                    hv = values.get(v[:-ls])
-                    if hv is None:
-                        continue
-                    for j in range(n + 1):
-                        integrand[j] += cq * hv[j] * gq[j]
-            a = [sum(D[k][j] * integrand[j] for j in range(n + 1)) for k in range(n + 1)]
-            a += [mp.mpf(0), mp.mpf(0)]
-            b = [mp.mpf(0)] * (n + 2)
-            b[1] = half * (2 * a[0] - a[2]) / 2
-            for k in range(2, n + 2):
-                b[k] = half * (a[k - 1] - a[k + 1]) / (2 * k)
-            # path enters the panel at u = -1: fix b[0] so the primitive vanishes there
-            b[0] = -sum(b[k] * (-1) ** k for k in range(1, n + 2))
-            vals = [sum(V[j][k] * b[k] for k in range(n + 2)) for j in range(n + 1)]
-            values[v] = vals
-            coeff_at_end[v] = vals[0]
-    return NCSeries(letters, N, one, coeff_at_end)
+def _mpf(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator

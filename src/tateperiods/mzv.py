@@ -369,6 +369,8 @@ def polylog_numeric(k: Iterable[int], z, precision: int) -> mp.mpc:
     with mp.workdps(dps):
         z = mp.mpc(z)
         r = abs(z)
+        if r >= 1:
+            raise PreconditionError(f"|z| = {mp.nstr(r, 8)} lies outside the unit disc")
         if r >= mp.mpf(3) / 4:
             raise NumericBudgetError(f"|z| = {mp.nstr(r, 8)} too close to 1 for the chain sum")
         depth = len(k)

@@ -55,6 +55,14 @@ def test_polylog_log2(capsys):
         assert abs(value - mp.log(2)) < mp.mpf(10) ** -25
 
 
+def test_polylog_exit_codes_outside_the_disc(capsys):
+    code, _out, err = run(capsys, ["polylog", "2", "--z", "5"])
+    assert code == 3, err
+    assert "unit disc" in err
+    code, _out, err = run(capsys, ["polylog", "2", "--z", "4/5"])
+    assert code == 4, err
+
+
 def test_associator_weight_two(capsys):
     doc = run_json(capsys, ["associator", "--weight", "2"])
     terms = doc["result"]["terms"]
@@ -91,6 +99,13 @@ def test_graph_validate(capsys, tmp_path):
     path = graph_file(tmp_path, basic_graph(2))
     doc = run_json(capsys, ["graph", "validate", "--graph", path])
     assert doc["result"]["report"] == {"genus": 1, "n": 2, "stable": True, "trivalent": True}
+
+
+def test_graph_validate_rejects_fractional_numbering(capsys, tmp_path):
+    doc = graph_to_dict(basic_graph(2))
+    doc["numbering"]["t1"] = 1.5
+    code, _out, err = run(capsys, ["graph", "validate", "--graph", write_json(tmp_path, "g.json", doc)])
+    assert code == 2, err
 
 
 def test_graph_expand_round_trip(capsys, tmp_path):

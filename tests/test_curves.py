@@ -431,3 +431,11 @@ def test_graph_from_dict_errors():
     broken["numbering"] = {"t1": 1, "t2": 9}
     with pytest.raises(ParseError, match="bad graph"):
         graph_from_dict(broken)
+    for value in (1.5, True):
+        fractional = dict(doc)
+        fractional["numbering"] = {"t1": value, "t2": 2}
+        with pytest.raises(ParseError, match="not an integer"):
+            graph_from_dict(fractional)
+    integral = dict(doc)
+    integral["numbering"] = {"t1": 1.0, "t2": 2}
+    assert graph_from_dict(integral)[0] == basic_graph(2)

@@ -14,7 +14,7 @@ from tateperiods.kz import (
     rotation_monodromy,
 )
 from tateperiods.mzv import KZ_LETTERS, X0, X1
-from tateperiods.ncalg import NCSeries, grouplike_defects, nc_multiply
+from tateperiods.ncalg import NCSeries, grouplike_defects, nc_inverse, nc_multiply
 from tateperiods.periodring import PeriodElem, numeric_eval
 
 V0 = TangentialPoint(base=Fraction(0), direction=Fraction(1))
@@ -165,3 +165,51 @@ def test_associator_is_grouplike_numerically():
             if defect == PeriodElem.zero():
                 continue
             assert abs(mp.mpc(numeric_eval(defect, prec))) < mp.mpf(10) ** -25
+
+
+def extra_pole_connection(N):
+    # KZ letters with two more poles off [0, 1]; the residue at -1 has a
+    # weight-two word so the commutator solve runs past weight one.
+    x0 = frac_letter(X0, N)
+    x1 = frac_letter(X1, N)
+    return KZConnection({Fraction(0): x0, Fraction(1): -x1,
+                         Fraction(-1): x1 - x0.scale(Fraction(1, 2)) + nc_multiply(x0, x1),
+                         Fraction(2): x0 + x1}, N)
+
+
+def assert_series_close(a, b, tol):
+    for w in set(a.coeffs) | set(b.coeffs):
+        assert abs(a.coefficient(w) - b.coefficient(w)) < tol, w
+
+
+def test_oracle_extra_poles_composition_and_reversal():
+    N, prec = 3, 25
+    conn = extra_pole_connection(N)
+    mid = Fraction(1, 3)
+    whole = numeric_transport_oracle(conn, V0, V1, N=N, precision=prec)
+    left = numeric_transport_oracle(conn, V0, mid, N=N, precision=prec)
+    right = numeric_transport_oracle(conn, mid, V1, N=N, precision=prec)
+    back = numeric_transport_oracle(conn, V1, V0, N=N, precision=prec)
+    with mp.workdps(prec + 15):
+        tol = mp.mpf(10) ** -20
+        assert_series_close(nc_multiply(left, right), whole, tol)
+        assert_series_close(nc_multiply(whole, back), NCSeries.unit(KZ_LETTERS, N, mp.mpf(1)), tol)
+
+
+def test_oracle_regular_to_regular():
+    N, prec = 3, 25
+    conn = extra_pole_connection(N)
+    a, b = Fraction(1, 4), Fraction(3, 4)
+    direct = numeric_transport_oracle(conn, a, b, N=N, precision=prec)
+    to_a = numeric_transport_oracle(conn, V0, a, N=N, precision=prec)
+    to_b = numeric_transport_oracle(conn, V0, b, N=N, precision=prec)
+    with mp.workdps(prec + 15):
+        tol = mp.mpf(10) ** -20
+        assert_series_close(nc_multiply(nc_inverse(to_a), to_b), direct, tol)
+        # weight one: sum over poles q of (residue letter) * log((b - q) / (a - q))
+        ratios = {q: (b - q) / (a - q) for q in (0, 1, -1, 2)}
+        log_ratio = {q: mp.log(mp.mpf(r.numerator) / r.denominator) for q, r in ratios.items()}
+        assert abs(direct.coefficient((X0,))
+                   - (log_ratio[0] - log_ratio[-1] / 2 + log_ratio[2])) < tol
+        assert abs(direct.coefficient((X1,))
+                   - (-log_ratio[1] + log_ratio[-1] + log_ratio[2])) < tol

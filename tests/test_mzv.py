@@ -134,6 +134,8 @@ def test_polylog_numeric_half():
         assert abs(v - mp.log(2)) < mp.mpf(10) ** -30
         with pytest.raises(NumericBudgetError):
             polylog_numeric((2,), mp.mpf("0.9"), 30)
+        with pytest.raises(PreconditionError):
+            polylog_numeric((2,), mp.mpf(5), 30)
 
 
 def test_regularize_values():
