@@ -14,6 +14,7 @@ precision <= 100.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -35,7 +36,7 @@ from .curves import (
 from .elliptic import eisenstein_series, iterated_eisenstein, qseries_eval, word_symbol
 from .errors import NumericBudgetError, ParseError, PreconditionError
 from .kz import KZConnection, TangentialPoint, drinfeld_associator, numeric_transport_oracle
-from .mzv import KZ_LETTERS, X0, X1, mzv_numeric, mzv_numeric_holder, polylog_numeric
+from .mzv import KZ_LETTERS, X0, X1, mzv_numeric, mzv_numeric_em, polylog_numeric
 from .ncalg import NCSeries
 from .periodring import PeriodElem, parse_period, render_period
 from .periods import (
@@ -335,7 +336,7 @@ def _cmd_selftest(args) -> dict:
 
     with mp.workdps(40):
         a = mzv_numeric((2,), 30)
-        b = mzv_numeric_holder((2,), 30)
+        b = mzv_numeric_em((2,), 30)
         check("zeta2 two routes agree", abs(a - b) < mp.mpf(10) ** -25)
         check("zeta2 value", abs(a - mp.pi ** 2 / 6) < mp.mpf(10) ** -25)
     phi = drinfeld_associator(2)
@@ -362,7 +363,11 @@ def _cmd_selftest(args) -> dict:
             "passed": all(c["passed"] for c in checks)}
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and a parser rebuilt on every `main` call is cyclic garbage
+    that stays resident until the collector's next full pass."""
     parser = argparse.ArgumentParser(
         prog="tateperiods",
         description="Unipotent periods on degenerating marked elliptic curves: "

@@ -746,11 +746,18 @@ def graph_from_dict(data) -> tuple[StableGraph, dict | None]:
         raise ParseError(f"graph document is missing field {exc.args[0]!r}") from None
     if not isinstance(edges_raw, Mapping) or not isinstance(tails_raw, Mapping) or not isinstance(numbering_raw, Mapping):
         raise ParseError("edges, tails, and numbering must be mappings")
+    if not isinstance(vertices, (list, tuple)) or not all(isinstance(v, str) for v in vertices):
+        raise ParseError("vertices must be a list of vertex names")
     edges: dict[str, tuple[str, str]] = {}
     for e, ends in edges_raw.items():
         if not isinstance(ends, (list, tuple)) or len(ends) != 2:
             raise ParseError(f"edge {e!r} needs exactly two endpoints")
+        if not all(isinstance(v, str) for v in ends):
+            raise ParseError(f"endpoints of edge {e!r} must be vertex names")
         edges[e] = (ends[0], ends[1])
+    for t, v in tails_raw.items():
+        if not isinstance(v, str):
+            raise ParseError(f"tail {t!r} must name a vertex")
     numbering: dict[str, int] = {}
     for t, i in numbering_raw.items():
         if isinstance(i, bool) or (isinstance(i, float) and not i.is_integer()):

@@ -239,6 +239,8 @@ def numeric_evaluate_period(p: PeriodSeries, y_assignments: Mapping[str, object]
     with mp.workdps(precision + GUARD_DIGITS):
         _check_regime("y", y_assignments)
         _check_regime("s", s_assignments)
+        if q0 is not None:
+            _check_regime("loop parameter", {"q0": q0})
         bindings = {name: mp.log(_to_mpc(v)) for name, v in s_assignments.items()}
         if q0 is None:
             loops = _loop_edges(p.graph)

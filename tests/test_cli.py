@@ -108,6 +108,15 @@ def test_graph_validate_rejects_fractional_numbering(capsys, tmp_path):
     assert code == 2, err
 
 
+def test_graph_validate_rejects_non_string_endpoints(capsys, tmp_path):
+    for field, key, value in (("edges", "l", [["v0"], "v0"]), ("tails", "t1", ["v0"])):
+        doc = graph_to_dict(basic_graph(2))
+        doc[field][key] = value
+        code, _out, err = run(capsys, ["graph", "validate", "--graph", write_json(tmp_path, "g.json", doc)])
+        assert code == 2, err
+        assert "Traceback" not in err
+
+
 def test_graph_expand_round_trip(capsys, tmp_path):
     g = basic_graph(3)
     path = graph_file(tmp_path, g)
@@ -204,6 +213,21 @@ def test_period_eval(capsys, tmp_path):
     with mp.workdps(30):
         assert abs(mp.mpf(term["re"]) - mp.log(10)) < mp.mpf(10) ** -15
         assert abs(mp.mpf(term["im"]) - mp.pi) < mp.mpf(10) ** -15
+
+
+def test_period_eval_checks_explicit_q0(capsys, tmp_path):
+    gpath = graph_file(tmp_path, basic_graph(2))
+    ppath = write_json(tmp_path, "path.json", [["rotate", "e", 1]])
+    out = str(tmp_path / "period.json")
+    assert main(["period", "assemble", "--graph", gpath, "--path", ppath,
+                 "--weight", "2", "--order", "8", "--out", out]) == 0
+    capsys.readouterr()
+    for q0 in ("2/5", 0):
+        apath = write_json(tmp_path, "assign.json", {"y": {"e": "1/10"}, "q0": q0})
+        code, _out, err = run(capsys, ["period", "eval", out, "--assign", apath,
+                                       "--precision", "15"])
+        assert code == 3, err
+        assert "analytic regime" in err
 
 
 def test_period_eval_unbound_is_precondition(capsys, tmp_path):

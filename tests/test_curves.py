@@ -423,6 +423,14 @@ def test_graph_from_dict_errors():
     bad_edge["edges"] = {"e": ["v0"]}
     with pytest.raises(ParseError, match="two endpoints"):
         graph_from_dict(bad_edge)
+    bad_edge["edges"] = {"l": [["v0"], "v0"]}
+    with pytest.raises(ParseError, match="vertex names"):
+        graph_from_dict(bad_edge)
+    for field, value in (("vertices", [["v0"], "v1"]), ("tails", {"t1": ["v0"], "t2": "v0"})):
+        bad = dict(doc)
+        bad[field] = value
+        with pytest.raises(ParseError, match="vertex"):
+            graph_from_dict(bad)
     bad_x = dict(doc)
     bad_x["x"] = {"e": "one half"}
     with pytest.raises(ParseError, match="bad rational"):

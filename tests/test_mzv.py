@@ -6,10 +6,12 @@ import pytest
 
 from tateperiods.errors import NumericBudgetError, PreconditionError
 from tateperiods.mzv import (
+    _chain_levels,
     composition_of_word,
     is_admissible_word,
     mzv_numeric,
     mzv_numeric_bruteforce,
+    mzv_numeric_em,
     mzv_numeric_holder,
     polylog_numeric,
     polylog_series,
@@ -89,11 +91,35 @@ def test_mzv_duality_and_stuffle():
 
 
 def test_routes_agree():
+    ks = [(2,), (3,), (1, 2), (2, 3), (1, 1, 2), (1, 2, 3), (2, 1, 3), (1, 1, 1, 1, 2), (3, 4, 3, 2, 3)]
     with mp.workdps(55):
-        for k in [(2,), (3,), (1, 2), (2, 3), (1, 1, 2), (1, 2, 3), (2, 1, 3)]:
-            em = mzv_numeric(k, 45)
-            ho = mzv_numeric_holder(k, 45)
-            assert abs(em - ho) < mp.mpf(10) ** -45, k
+        for k in ks:
+            em = mzv_numeric_em(k, 45)
+            default = mzv_numeric(k, 45)
+            assert abs(em - default) < mp.mpf(10) ** -45, k
+
+
+def test_chain_levels_within_depth_ulps():
+    wp = 90
+    for k in [(1,), (3,), (1, 2), (3, 1, 2), (1, 1, 1, 2), (2, 3, 1, 4, 2)]:
+        for M in (1, 6, 45):
+            levels = _chain_levels(k, M, wp)
+            for level, exact in zip(levels, polylog_series(k, M), strict=True):
+                assert 0 <= exact * 2 ** wp - level < len(k), (k, M)
+
+
+def test_polylog_numeric_matches_mpmath():
+    with mp.workdps(80):
+        z = mp.mpc("0.3", "0.4")
+        for s in (1, 2, 3, 5):
+            for precision in (30, 60):
+                got = polylog_numeric((s,), z, precision)
+                assert abs(got - mp.polylog(s, z)) < mp.mpf(10) ** -precision, (s, precision)
+        # digits of small values hold relative to the value
+        tiny = mp.mpf(10) ** -40
+        got = polylog_numeric((3,), tiny, 30)
+        assert abs(got / mp.polylog(3, tiny) - 1) < mp.mpf(10) ** -30
+        assert polylog_numeric((2,), 0, 30) == 0
 
 
 def test_bruteforce_within_bound():

@@ -204,6 +204,9 @@ def test_numeric_loop_table_and_default_q0():
     table = {("T",): eisenstein_series(4, 30), ("A",): eisenstein_series(6, 30)}
     with pytest.raises(UnboundSymbolError):
         numeric_evaluate_period(loop, {}, {}, None, 20)
+    for q0 in (Fraction(2, 5), 0):
+        with pytest.raises(PreconditionError, match="analytic regime"):
+            numeric_evaluate_period(loop, {}, {}, q0, 20, table=table)
     explicit = numeric_evaluate_period(loop, {}, {}, Fraction(1, 10), 20, table=table)
     defaulted = numeric_evaluate_period(loop, {"l": Fraction(1, 10)}, {}, None, 20, table=table)
     for w in (("T",), ("A",)):
