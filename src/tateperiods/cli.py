@@ -35,10 +35,10 @@ from .curves import (
 )
 from .elliptic import eisenstein_series, iterated_eisenstein, qseries_eval, word_symbol
 from .errors import NumericBudgetError, ParseError, PreconditionError
-from .kz import KZConnection, TangentialPoint, drinfeld_associator, numeric_transport_oracle
+from .kz import TangentialPoint, associator_connection, drinfeld_associator, numeric_transport_oracle
 from .mzv import KZ_LETTERS, X0, X1, mzv_numeric, mzv_numeric_em, polylog_numeric
 from .ncalg import NCSeries
-from .periodring import PeriodElem, parse_period, render_period
+from .periodring import PeriodElem, parse_period, render_period, to_mp
 from .periods import (
     PathSpec,
     PeriodSeries,
@@ -102,13 +102,6 @@ def _parse_scalar(value, what: str):
     raise ParseError(f"bad {what}: {value!r}")
 
 
-def _as_number(value, precision: int):
-    if isinstance(value, Fraction):
-        with mp.workdps(precision + 15):
-            return mp.mpf(value.numerator) / value.denominator
-    return value
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -126,7 +119,8 @@ def _load_graph(path: str):
     for move in data.get("growth", []) if isinstance(data, dict) else []:
         if not isinstance(move, list) or not move:
             raise ParseError(f"bad growth move {move!r}", location=path)
-        if move[0] == "expand" and len(move) == 3 and isinstance(move[2], list):
+        if (move[0] == "expand" and len(move) == 3 and isinstance(move[2], list)
+                and all(isinstance(h, str) for h in move[2])):
             growth.append(("expand", move[1], tuple(move[2])))
         elif move[0] == "contract" and len(move) == 2:
             growth.append(("contract", move[1]))
@@ -180,6 +174,9 @@ def period_series_from_doc(data) -> PeriodSeries:
         if key not in data:
             raise ParseError(f"period document missing field {key!r}")
     graph, _ = graph_from_dict(data["graph"])
+    for key in ("letters", "fusing_parameters"):
+        if not isinstance(data.get(key, []), list):
+            raise ParseError(f"{key} in a period document must be a list")
     letters = tuple(data["letters"])
     weight = data["weight"]
     if not isinstance(weight, int) or weight < 0:
@@ -207,7 +204,8 @@ def _cmd_mzv(args) -> dict:
 
 def _cmd_polylog(args) -> dict:
     _check_caps(precision=args.precision)
-    z = _as_number(_parse_scalar(args.z, "argument z"), args.precision)
+    with mp.workdps(args.precision + 15):
+        z = to_mp(_parse_scalar(args.z, "argument z"))
     value = polylog_numeric(tuple(args.indices), z, args.precision)
     return {"indices": list(args.indices), "z": args.z, "precision": args.precision,
             "value": _complex_doc(value, args.precision)}
@@ -222,10 +220,7 @@ def _cmd_associator(args) -> dict:
 
 def _cmd_transport(args) -> dict:
     _check_caps(weight=args.weight, precision=args.precision)
-    one = Fraction(1)
-    conn = KZConnection({Fraction(0): NCSeries.letter(KZ_LETTERS, args.weight, one, X0),
-                         Fraction(1): -NCSeries.letter(KZ_LETTERS, args.weight, one, X1)},
-                        args.weight)
+    conn = associator_connection(args.weight)
     start = TangentialPoint(base=Fraction(0), direction=Fraction(1))
     end = TangentialPoint(base=Fraction(1), direction=Fraction(-1))
     series = numeric_transport_oracle(conn, start, end, args.weight, args.precision)
@@ -252,7 +247,8 @@ def _cmd_eis_int(args) -> dict:
 
 def _cmd_eval_q(args) -> dict:
     _check_caps(order=args.order, precision=args.precision)
-    q0 = _as_number(_parse_scalar(args.q0, "q0"), args.precision)
+    with mp.workdps(args.precision + 15):
+        q0 = to_mp(_parse_scalar(args.q0, "q0"))
     series = iterated_eisenstein(tuple(args.indices), args.order)
     value = qseries_eval(series, q0, args.precision)
     return {"indices": list(args.indices), "order": args.order, "q0": args.q0,
@@ -316,6 +312,9 @@ def _cmd_period_eval(args) -> dict:
     assign = _load_json(args.assign) if args.assign else {}
     if not isinstance(assign, dict):
         raise ParseError("an assignment file must contain a mapping")
+    for key in ("y", "s", "elliptic"):
+        if not isinstance(assign.get(key, {}), dict):
+            raise ParseError(f"assignment section {key!r} must be a mapping")
     y = {k: _parse_scalar(v, f"y[{k}]") for k, v in assign.get("y", {}).items()}
     s = {k: _parse_scalar(v, f"s[{k}]") for k, v in assign.get("s", {}).items()}
     q0 = _parse_scalar(assign["q0"], "q0") if "q0" in assign else None
@@ -375,12 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, fn, help_text, under=sub):
+        p = under.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the output document here instead of stdout")
         p.add_argument("--seed", type=int, default=None, help="seed echoed into the document")
         return p
+
+    def group(name, help_text):
+        return sub.add_parser(name, help=help_text).add_subparsers(dest="sub", required=True)
 
     p = add("mzv", _cmd_mzv, "numeric multiple zeta value of a composition")
     p.add_argument("indices", type=int, nargs="+")
@@ -413,58 +415,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=40)
     p.add_argument("--precision", type=int, default=20)
 
-    g = sub.add_parser("graph", help="stable graph utilities")
-    gsub = g.add_subparsers(dest="sub", required=True)
-    p = gsub.add_parser("validate", help="connectivity, stability, genus report")
-    p.set_defaults(fn=_cmd_graph_validate)
+    gsub = group("graph", "stable graph utilities")
+    p = add("validate", _cmd_graph_validate, "connectivity, stability, genus report", gsub)
     p.add_argument("--graph", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
-    p = gsub.add_parser("expand", help="pull two branches onto a fresh trivalent vertex")
-    p.set_defaults(fn=_cmd_graph_expand)
+    p = add("expand", _cmd_graph_expand, "pull two branches onto a fresh trivalent vertex", gsub)
     p.add_argument("vertex")
     p.add_argument("branches", nargs=2)
     p.add_argument("--graph", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
 
-    g = sub.add_parser("moebius", help="gluing map utilities")
-    gsub = g.add_subparsers(dest="sub", required=True)
-    p = gsub.add_parser("fix", help="fixed points and multiplier of a branch path")
-    p.set_defaults(fn=_cmd_moebius_fix)
+    gsub = group("moebius", "gluing map utilities")
+    p = add("fix", _cmd_moebius_fix, "fixed points and multiplier of a branch path", gsub)
     p.add_argument("branches", nargs="+")
     p.add_argument("--graph", required=True)
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
 
-    g = sub.add_parser("check", help="structural checks")
-    gsub = g.add_subparsers(dest="sub", required=True)
-    p = gsub.add_parser("contraction", help="smoothing-parameter divisibility at a contraction")
-    p.set_defaults(fn=_cmd_check_contraction)
+    gsub = group("check", "structural checks")
+    p = add("contraction", _cmd_check_contraction,
+            "smoothing-parameter divisibility at a contraction", gsub)
     p.add_argument("branches", nargs=3, metavar=("H0", "H1", "H2"))
     p.add_argument("--graph", required=True)
     p.add_argument("--order", type=int, default=6)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
 
-    g = sub.add_parser("period", help="assemble and evaluate period series")
-    gsub = g.add_subparsers(dest="sub", required=True)
-    p = gsub.add_parser("assemble", help="product of monodromy factors along a path file")
-    p.set_defaults(fn=_cmd_period_assemble)
+    gsub = group("period", "assemble and evaluate period series")
+    p = add("assemble", _cmd_period_assemble, "product of monodromy factors along a path file", gsub)
     p.add_argument("--graph", required=True)
     p.add_argument("--path", required=True)
     p.add_argument("--weight", type=int, default=3)
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
-    p = gsub.add_parser("eval", help="numeric evaluation of a saved period document")
-    p.set_defaults(fn=_cmd_period_eval)
+    p = add("eval", _cmd_period_eval, "numeric evaluation of a saved period document", gsub)
     p.add_argument("document")
     p.add_argument("--assign")
     p.add_argument("--precision", type=int, default=20)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
 
     p = add("selftest", _cmd_selftest, "quick invariant battery")
     p.set_defaults(seed=0)

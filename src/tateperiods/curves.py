@@ -9,9 +9,9 @@ from fractions import Fraction
 
 from .elliptic import A_LETTER, HAIN_X0, HAIN_X1, HAIN_XINF, T_LETTER, hain_hom
 from .errors import ParseError, PreconditionError
+from .kz import INFINITY
 from .ncalg import NCSeries
 
-INFINITY = "inf"
 LOOP_EDGE = "l"
 
 
@@ -631,7 +631,15 @@ def compose_path(path: Sequence[str], ring: SeriesRing) -> MoebiusMap:
 
 def fixed_points_multiplier(m: MoebiusMap) -> tuple[MultiSeries, MultiSeries, MultiSeries]:
     """Newton-lift the two fixed points from their y = 0 values and return
-    them with the eigenvalue ratio (attracting point first)."""
+    them with the eigenvalue ratio (attracting point first).
+
+    A fixed point z is a root of f(z) = c z^2 + (d - a) z - b.  Each root is
+    lifted by a coupled Newton iteration (Brent & Zimmermann, Modern Computer
+    Arithmetic, section 4.2): z <- z - f(z) w, where w approximates
+    1 / f'(z) = 1 / (2 c z + d - a) and is refined by its own Newton step
+    w <- w (2 - f'(z) w) in the same loop, so the correct order of both
+    doubles at every step without a separate inversion.
+    """
     a, b, c, d = m.a, m.b, m.c, m.d
     a0, b0, c0, d0 = (
         a.constant_term(),
@@ -653,13 +661,14 @@ def fixed_points_multiplier(m: MoebiusMap) -> tuple[MultiSeries, MultiSeries, Mu
     variables = a.variables
 
     def lift(z0: Fraction) -> MultiSeries:
+        # f'(z0) at y = 0 is +-(a0 + d0), nonzero since the fixed points differ
         z = MultiSeries.const(variables, order, z0)
+        w = MultiSeries.const(variables, order, 1 / (2 * c0 * z0 + d0 - a0))
         p = 1
         for _ in range(iters):
             p = min(2 * p, order)
-            num = ((c * z + dma) * z - b).truncate(p)
-            den = (2 * (c * z) + dma).truncate(p)
-            z = (z - num * den.inverse(p)).truncate(p)
+            w = (w * (2 - (2 * (c * z) + dma).truncate(p) * w)).truncate(p)
+            z = (z - ((c * z + dma) * z - b).truncate(p) * w).truncate(p)
         return z
 
     alpha = lift(r_att)

@@ -72,7 +72,7 @@ class QSeriesPoly:
                 continue
             if not isinstance(c, PeriodElem):
                 c = PeriodElem.from_rational(c)
-            if c != PeriodElem.zero():
+            if c:
                 clean[(n, m)] = c
         object.__setattr__(self, "coeffs", clean)
 

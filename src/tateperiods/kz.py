@@ -28,9 +28,9 @@ import mpmath as mp
 from .errors import NumericBudgetError, PreconditionError
 from .mzv import KZ_LETTERS, X0, X1, shuffle_regularize
 from .ncalg import NCSeries, _is_zero, nc_exp, nc_inverse, nc_multiply, substitute_letters
-from .periodring import PeriodElem
+from .periodring import PeriodElem, to_mp
 
-INF = "inf"
+INFINITY = "inf"
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class TangentialPoint:
 @dataclass(frozen=True)
 class KZConnection:
     """Finite singular points with residue series; the residue at infinity is
-    implied (sum over all points is 0) unless given explicitly under `INF`."""
+    implied (sum over all points is 0) unless given explicitly under `INFINITY`."""
 
     residues: Mapping[object, NCSeries]
     trunc: int
@@ -70,7 +70,7 @@ class KZConnection:
         res: dict[object, NCSeries] = {}
         letters = None
         for p, x in self.residues.items():
-            key = INF if p == INF else Fraction(p)
+            key = INFINITY if p == INFINITY else Fraction(p)
             if letters is None:
                 letters = x.letters
             elif x.letters != letters:
@@ -82,7 +82,7 @@ class KZConnection:
             raise PreconditionError("a connection needs at least one residue")
         object.__setattr__(self, "residues", res)
         object.__setattr__(self, "letters", letters)
-        if INF in res:
+        if INFINITY in res:
             total = None
             for x in res.values():
                 total = x if total is None else total + x
@@ -90,11 +90,11 @@ class KZConnection:
                 raise PreconditionError("residues (including infinity) must sum to zero")
 
     def finite_points(self) -> list[Fraction]:
-        return sorted(p for p in self.residues if p != INF)
+        return sorted(p for p in self.residues if p != INFINITY)
 
     def residue_at_infinity(self) -> NCSeries:
-        if INF in self.residues:
-            return self.residues[INF]
+        if INFINITY in self.residues:
+            return self.residues[INFINITY]
         total = None
         for p, x in self.residues.items():
             total = x if total is None else total + x
@@ -176,7 +176,7 @@ def numeric_transport_oracle(conn: KZConnection, frm, to, N: int, precision: int
     dps = precision + 18
     with mp.workdps(dps):
         unit = NCSeries.unit(conn.letters, N, mp.mpf(1))
-        res = {p: _to_numeric(x, N, unit.one) for p, x in conn.residues.items() if p != INF}
+        res = {p: _to_numeric(x, N, unit.one) for p, x in conn.residues.items() if p != INFINITY}
         eps = mp.mpf(10) ** (-(dps - 4)) / 4
         coarse, fine = (_transport(res, frm, to, unit, eps, rho) for rho in STEP_RATIOS)
         tol = mp.mpf(10) ** (-(precision + 2))
@@ -235,20 +235,12 @@ def _transport(res: dict, frm: TangentialPoint, to: TangentialPoint, unit: NCSer
 
 def _log_parameter(pt: TangentialPoint, t: Fraction):
     """log u at z = base + t, with u = t / (direction * scale) the tangential parameter."""
-    return mp.log(_mpf(t / (pt.direction * pt.scale)))
+    return mp.log(to_mp(t / (pt.direction * pt.scale)))
 
 
 def _to_numeric(x: NCSeries, N: int, one) -> NCSeries:
-    def conv(c):
-        if isinstance(c, PeriodElem):
-            c = c.as_rational()
-        if isinstance(c, Fraction):
-            return _mpf(c)
-        if isinstance(c, int):
-            return mp.mpf(c)
-        return mp.mpmathify(c)
-
-    return x.truncate(N).map_coefficients(conv, one=one)
+    return x.truncate(N).map_coefficients(
+        lambda c: to_mp(c.as_rational() if isinstance(c, PeriodElem) else c), one=one)
 
 
 def _local_series(res: dict, c: Fraction, t: Fraction, unit: NCSeries, eps) -> NCSeries:
@@ -262,7 +254,7 @@ def _local_series(res: dict, c: Fraction, t: Fraction, unit: NCSeries, eps) -> N
     by its Neumann series, which ends because X_c raises the weight.  The
     recursion runs on G_m = H_m t^m, so A_q is scaled by t / d_q instead."""
     X_c = res.get(c)
-    poles = [(X_q, _mpf(t / (q - c))) for q, X_q in res.items() if q != c]
+    poles = [(X_q, to_mp(t / (q - c))) for q, X_q in res.items() if q != c]
     zero = NCSeries.zero(unit.letters, unit.trunc, unit.one)
     term = value = unit
     acc = [zero] * len(poles)
@@ -281,7 +273,3 @@ def _local_series(res: dict, c: Fraction, t: Fraction, unit: NCSeries, eps) -> N
         size = max((abs(v) for v in term.coeffs.values()), default=0)
         quiet = quiet + 1 if size < eps else 0
     return value
-
-
-def _mpf(q: Fraction):
-    return mp.mpf(q.numerator) / q.denominator

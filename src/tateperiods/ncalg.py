@@ -177,33 +177,31 @@ def _shuffle_into(w1: Word, w2: Word, prefix: Word, out: dict[Word, int]) -> Non
     _shuffle_into(w1, w2[1:], prefix + (w2[0],), out)
 
 
+def _power_sum(h: NCSeries, coeff: Callable[[int], Fraction] | None = None) -> NCSeries:
+    """1 + sum_k coeff(k) h^k for k = 1 .. h.trunc (coeff(k) = 1 by default),
+    stopping at the first power of h that vanishes."""
+    out = power = NCSeries.unit(h.letters, h.trunc, h.one)
+    for k in range(1, h.trunc + 1):
+        power = nc_multiply(power, h)
+        if power.is_zero():
+            break
+        out = out + (power if coeff is None else power.scale(coeff(k)))
+    return out
+
+
 def nc_exp(f: NCSeries) -> NCSeries:
     """Truncated exponential; requires zero constant term."""
     if not _is_zero(f.constant_term()):
         raise PreconditionError("nc_exp needs zero constant term")
-    out = NCSeries.unit(f.letters, f.trunc, f.one)
-    power = out
-    for k in range(1, f.trunc + 1):
-        power = nc_multiply(power, f)
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction(1, math.factorial(k)))
-    return out
+    return _power_sum(f, lambda k: Fraction(1, math.factorial(k)))
 
 
 def nc_log(g: NCSeries) -> NCSeries:
     """Truncated logarithm; requires constant term 1."""
     if not _is_zero(g.constant_term() - g.one):
         raise PreconditionError("nc_log needs constant term 1")
-    h = g - NCSeries.unit(g.letters, g.trunc, g.one)
-    out = NCSeries.zero(g.letters, g.trunc, g.one)
-    power = NCSeries.unit(g.letters, g.trunc, g.one)
-    for k in range(1, g.trunc + 1):
-        power = nc_multiply(power, h)
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    unit = NCSeries.unit(g.letters, g.trunc, g.one)
+    return _power_sum(g - unit, lambda k: Fraction((-1) ** (k + 1), k)) - unit
 
 
 def lie_bracket(f: NCSeries, g: NCSeries) -> NCSeries:
@@ -214,15 +212,7 @@ def nc_inverse(f: NCSeries) -> NCSeries:
     """Multiplicative inverse of a series with constant term 1."""
     if not _is_zero(f.constant_term() - f.one):
         raise PreconditionError("nc_inverse needs constant term 1")
-    h = NCSeries.unit(f.letters, f.trunc, f.one) - f
-    out = NCSeries.unit(f.letters, f.trunc, f.one)
-    power = out
-    for _ in range(f.trunc):
-        power = nc_multiply(power, h)
-        if power.is_zero():
-            break
-        out = out + power
-    return out
+    return _power_sum(NCSeries.unit(f.letters, f.trunc, f.one) - f)
 
 
 def ad_action(f: NCSeries, x: NCSeries, N: int | None = None) -> NCSeries:

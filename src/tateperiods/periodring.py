@@ -132,11 +132,10 @@ class PeriodElem:
         store: dict[PeriodMonomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
-                    store[m] = store.get(m, Fraction(0)) + c
-                    if not store[m]:
-                        del store[m]
+                    store[m] = c
         self.terms = store
 
     @classmethod
@@ -189,7 +188,7 @@ class PeriodElem:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out[m] + c if m in out else c
         return PeriodElem(out)
 
     __radd__ = __add__
@@ -219,7 +218,7 @@ class PeriodElem:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
         return PeriodElem(out)
 
     __rmul__ = __mul__
@@ -279,54 +278,50 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _parse_factor(text: str, pos: int) -> tuple[PeriodElem, int]:
-    m = _TOKEN_RE.match(text, pos)
-    if not m or m.start() != pos:
-        raise ParseError(f"unrecognized factor at {text[pos:pos+20]!r}", location=f"col {pos}")
-    if m.group("ipi"):
-        power = int(m.group("ipipow")) if m.group("ipipow") else 1
-        return PeriodElem.ipi(power), m.end()
-    if m.group("zeta"):
-        k = check_composition(int(p) for p in m.group("zargs").split(","))
-        if not is_admissible(k):
-            raise ParseError(f"non-admissible zeta composition {k}")
-        return PeriodElem.zeta(k), m.end()
-    if m.group("eis"):
-        idx = tuple(int(p) for p in m.group("eargs").split(","))
-        return PeriodElem.elliptic(EllipticSymbol(indices=idx)), m.end()
-    if m.group("emzv"):
-        sym = EllipticSymbol(name=m.group("ename"), weight=int(m.group("eweight")))
-        return PeriodElem.elliptic(sym), m.end()
-    if m.group("log"):
-        return PeriodElem.log(m.group("lname")), m.end()
-    if m.group("tau"):
-        return PeriodElem.tau(), m.end()
-    return PeriodElem.from_rational(Fraction(m.group("rat"))), m.end()
-
-
 def parse_period(text: str) -> PeriodElem:
     """Inverse of render_period; accepts any +/- separated product-of-factors string."""
+    if not isinstance(text, str):
+        raise ParseError(f"a period must be a string, got {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty period string")
-    if s == "0":
-        return PeriodElem.zero()
-    out = PeriodElem.zero()
+    terms: dict[PeriodMonomial, Fraction] = {}
     pos = 0
     sign = 1
     if s[0] in "+-":
         sign = -1 if s[0] == "-" else 1
         pos = 1
     while pos < len(s):
-        term = PeriodElem.from_rational(sign)
+        coeff, ipi_power, zetas, elliptic, logs = Fraction(sign), 0, [], [], []
         while True:
-            factor, pos = _parse_factor(s, pos)
-            term = term * factor
+            m = _TOKEN_RE.match(s, pos)
+            if not m:
+                raise ParseError(f"unrecognized factor at {s[pos:pos+20]!r}", location=f"col {pos}")
+            if m.group("ipi"):
+                ipi_power += int(m.group("ipipow") or 1)
+            elif m.group("zeta"):
+                k = check_composition(int(p) for p in m.group("zargs").split(","))
+                if not is_admissible(k):
+                    raise ParseError(f"non-admissible zeta composition {k}")
+                zetas.append(k)
+            elif m.group("eis"):
+                elliptic.append(EllipticSymbol(indices=tuple(int(p) for p in m.group("eargs").split(","))))
+            elif m.group("emzv"):
+                elliptic.append(EllipticSymbol(name=m.group("ename"), weight=int(m.group("eweight"))))
+            elif m.group("log") or m.group("tau"):
+                logs.append(m.group("lname") or "tau")
+            else:
+                try:
+                    coeff *= Fraction(m.group("rat"))
+                except ZeroDivisionError:
+                    raise ParseError(f"zero denominator in {m.group('rat')!r}", location=f"col {pos}") from None
+            pos = m.end()
             if pos < len(s) and s[pos] == "*":
                 pos += 1
                 continue
             break
-        out = out + term
+        mono = PeriodMonomial(ipi_power, tuple(zetas), tuple(elliptic), tuple(logs))
+        terms[mono] = terms[mono] + coeff if mono in terms else coeff
         if pos < len(s):
             if s[pos] == "+":
                 sign, pos = 1, pos + 1
@@ -336,7 +331,15 @@ def parse_period(text: str) -> PeriodElem:
                 raise ParseError(f"expected + or - at {s[pos:pos+10]!r}", location=f"col {pos}")
             if pos >= len(s):
                 raise ParseError("dangling sign at end of period string")
-    return out
+    return PeriodElem(terms)
+
+
+def to_mp(value):
+    """An mpmath number at the working precision.  A Fraction becomes its
+    numerator divided by its denominator; other numbers go through mpmathify."""
+    if isinstance(value, Fraction):
+        return mp.mpf(value.numerator) / value.denominator
+    return mp.mpmathify(value)
 
 
 def numeric_eval(x: PeriodElem, precision: int,
@@ -355,7 +358,7 @@ def numeric_eval(x: PeriodElem, precision: int,
         ipi = mp.mpc(0, mp.pi)
         total = mp.mpc(0)
         for m, c in x.terms.items():
-            val = mp.mpc(c.numerator) / c.denominator
+            val = mp.mpc(to_mp(c))
             if m.ipi_power:
                 val *= ipi ** m.ipi_power
             for k in m.zeta_factors:
@@ -370,11 +373,3 @@ def numeric_eval(x: PeriodElem, precision: int,
                 val *= mp.mpc(bindings[name])
             total += val
         return total
-
-
-def period_add(a: PeriodElem, b: PeriodElem) -> PeriodElem:
-    return a + b
-
-
-def period_mul(a: PeriodElem, b: PeriodElem) -> PeriodElem:
-    return a * b

@@ -20,7 +20,7 @@ from .elliptic import A_LETTER, QSeriesPoly, T_LETTER, elliptic_associator, qser
 from .errors import ParseError, PreconditionError
 from .kz import fusing_connection_matrix, rotation_monodromy
 from .ncalg import NCSeries, lie_bracket, nc_exp, nc_inverse, substitute_letters
-from .periodring import GUARD_DIGITS, EllipticSymbol, PeriodElem, numeric_eval
+from .periodring import GUARD_DIGITS, EllipticSymbol, PeriodElem, numeric_eval, to_mp
 
 MOVE_KINDS = ("rotate", "fuse", "loop", "associator")
 REGIME_BOUND = Fraction(1, 4)
@@ -207,15 +207,9 @@ def ring_membership_check(p: PeriodSeries) -> dict:
     return {"passes": not violations, "violations": violations}
 
 
-def _to_mpc(value) -> mp.mpc:
-    if isinstance(value, Fraction):
-        return mp.mpc(value.numerator) / value.denominator
-    return mp.mpc(value)
-
-
 def _check_regime(label: str, assignments: Mapping[str, object]) -> None:
     for name, value in assignments.items():
-        v = _to_mpc(value)
+        v = mp.mpc(to_mp(value))
         if v == 0 or abs(v) > mp.mpf(1) / 4:
             raise PreconditionError(
                 f"{label} value for {name!r} is outside the analytic regime (0 < |.| <= 1/4)")
@@ -241,7 +235,7 @@ def numeric_evaluate_period(p: PeriodSeries, y_assignments: Mapping[str, object]
         _check_regime("s", s_assignments)
         if q0 is not None:
             _check_regime("loop parameter", {"q0": q0})
-        bindings = {name: mp.log(_to_mpc(v)) for name, v in s_assignments.items()}
+        bindings = {name: mp.log(mp.mpc(to_mp(v))) for name, v in s_assignments.items()}
         if q0 is None:
             loops = _loop_edges(p.graph)
             if len(loops) == 1 and loops[0] in y_assignments:
@@ -250,9 +244,9 @@ def numeric_evaluate_period(p: PeriodSeries, y_assignments: Mapping[str, object]
         for w, qs in (table or {}).items():
             if q0 is None:
                 raise PreconditionError("a q-series table needs the loop parameter q0")
-            ebind[word_symbol(tuple(w))] = qseries_eval(qs, _to_mpc(q0), precision)
+            ebind[word_symbol(tuple(w))] = qseries_eval(qs, mp.mpc(to_mp(q0)), precision)
         for sym, value in (elliptic_bindings or {}).items():
-            ebind[sym] = _to_mpc(value)
+            ebind[sym] = mp.mpc(to_mp(value))
         coeffs = {w: numeric_eval(c, precision, bindings=bindings, elliptic_bindings=ebind)
                   for w, c in p.series.coeffs.items()}
     return NCSeries(p.series.letters, p.series.trunc, mp.mpc(1), coeffs)

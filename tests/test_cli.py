@@ -242,6 +242,35 @@ def test_period_eval_unbound_is_precondition(capsys, tmp_path):
     assert "binding" in err
 
 
+
+# malformed inputs that must end in a parse error (exit 2), not a Python exception
+MALFORMED = {
+    "assignment-section-not-a-mapping": ("assign", {"y": [1]}),
+    "letters-not-a-list": ("document", {"letters": 5}),
+    "fusing-parameters-not-a-list": ("document", {"fusing_parameters": 5}),
+    "term-not-a-string": ("document", {"terms": {"": 1}}),
+    "term-with-zero-denominator": ("document", {"terms": {"": "7/0 * zeta(2)"}}),
+    "growth-branches-not-names": ("growth", [["expand", "v0", [1, 2]]]),
+}
+
+
+@pytest.mark.parametrize("kind, change", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_input_is_parse_error(capsys, tmp_path, kind, change):
+    gpath = graph_file(tmp_path, basic_graph(2), growth=change if kind == "growth" else None)
+    ppath = write_json(tmp_path, "path.json", [["rotate", "e", 1]])
+    argv = ["period", "assemble", "--graph", gpath, "--path", ppath, "--weight", "2"]
+    if kind != "growth":
+        out = tmp_path / "period.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        if kind == "document":
+            doc["result"].update(change)
+        apath = write_json(tmp_path, "assign.json", change if kind == "assign" else {})
+        argv = ["period", "eval", write_json(tmp_path, "doc.json", doc), "--assign", apath]
+    code, _out, err = run(capsys, argv)
+    assert code == 2, err
+    assert err.startswith("parse error")
+
 def test_caps(capsys):
     assert run(capsys, ["mzv", "2", "--precision", "200"])[0] == 3
     assert run(capsys, ["associator", "--weight", "9"])[0] == 3

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tateperiods.errors import PreconditionError
 from tateperiods.ncalg import (
@@ -15,6 +17,7 @@ from tateperiods.ncalg import (
     is_lie_element,
     lie_bracket,
     nc_exp,
+    nc_inverse,
     nc_log,
     nc_multiply,
     shuffle_product,
@@ -134,6 +137,25 @@ def test_exp_log_round_trip():
         assert nc_log(nc_exp(f)) == f
         g = unit() + random_series(rng, zero_constant=True)
         assert nc_exp(nc_log(g)) == g
+
+
+words = st.lists(st.sampled_from(AB), min_size=1, max_size=4).map(tuple)
+series = st.dictionaries(words, st.fractions(-4, 4, max_denominator=5), max_size=6).map(
+    lambda coeffs: NCSeries(AB, 4, ONE, coeffs))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(series)
+def test_log_inverts_exp_property(x):
+    assert nc_log(nc_exp(x)) == x
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(series)
+def test_inverse_property(h):
+    f = unit() + h
+    assert nc_inverse(f) * f == unit()
+    assert f * nc_inverse(f) == unit()
 
 
 def test_exp_log_preconditions():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tateperiods.errors import ParseError, PreconditionError, UnboundSymbolError
 from tateperiods.periodring import (
@@ -13,8 +15,6 @@ from tateperiods.periodring import (
     is_admissible,
     numeric_eval,
     parse_period,
-    period_add,
-    period_mul,
     render_period,
 )
 
@@ -56,10 +56,10 @@ def test_ring_axioms_random():
     rng = random.Random(21)
     for _ in range(10):
         a, b, c = (random_elem(rng) for _ in range(3))
-        assert period_mul(period_mul(a, b), c) == period_mul(a, period_mul(b, c))
-        assert period_mul(a, period_add(b, c)) == period_add(period_mul(a, b), period_mul(a, c))
-        assert period_add(a, b) == period_add(b, a)
-        assert period_mul(a, b) == period_mul(b, a)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + b == b + a
+        assert a * b == b * a
 
 
 def test_composition_admissibility():
@@ -102,6 +102,28 @@ def test_parse_render_round_trip_random():
         assert parse_period(render_period(x)) == x
 
 
+symbols = st.one_of(
+    st.builds(EllipticSymbol, indices=st.sampled_from([(0,), (4,), (4, 0), (6, 4)])),
+    st.builds(EllipticSymbol, name=st.sampled_from(["e_T", "e_AT", "nu"]), weight=st.integers(0, 4)),
+)
+monomials = st.builds(
+    PeriodMonomial,
+    ipi_power=st.integers(-3, 3),
+    zeta_factors=st.lists(st.sampled_from([(2,), (3,), (1, 2), (2, 3), (1, 1, 2)]), max_size=2).map(tuple),
+    elliptic_factors=st.lists(symbols, max_size=2).map(tuple),
+    log_factors=st.lists(st.sampled_from(["tau", "s_e1", "s_e0"]), max_size=2).map(tuple),
+)
+elements = st.dictionaries(monomials, st.fractions(-9, 9, max_denominator=12), max_size=5).map(PeriodElem)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(elements)
+def test_render_parse_round_trip_property(x):
+    text = render_period(x)
+    assert parse_period(text) == x
+    assert render_period(parse_period(text)) == text
+
+
 def test_parse_specific_strings():
     x = parse_period("(i*pi)^2 * zeta(1,2) * E(4,0)")
     assert render_period(x) == "(i*pi)^2 * zeta(1,2) * E(4,0)"
@@ -111,6 +133,10 @@ def test_parse_specific_strings():
         parse_period("zeta(2,1)")
     with pytest.raises(ParseError):
         parse_period("2 +")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_period("7/0 * zeta(2)")
+    with pytest.raises(ParseError, match="must be a string"):
+        parse_period(3)
 
 
 def test_numeric_eval_ipi_square():
