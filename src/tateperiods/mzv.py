@@ -7,11 +7,11 @@ x1 x0^(k1-1) x1 x0^(k2-1) ... x1 x0^(kl-1), first letter integrated innermost
 
 The default route `mzv_numeric` (memoized) is the Hoelder convolution at 1/2,
 `mzv_numeric_holder`, on the fixed-point chain-sum kernel `_chain_levels`, with
-guard bits from a derived bound of (n+1)(2(M+d)+1) ulps.  Two independent checks
-share no arithmetic with it: `mzv_numeric_em`, lattice summation on mpf with
-Euler-Maclaurin acceleration of every level's tail, and `mzv_numeric_bruteforce`,
-a literal truncated lattice sum with a rigorous tail bound.  Agreement between
-routes is the package's strongest internal evidence.
+guard bits from a derived bound of (n+1)(2(M+d)+1) ulps.  Its checks share no
+arithmetic with it: the exact duality, stuffle and shuffle relations (each side
+runs different chain sums), the transport oracle of `kz`, whose associator
+coefficients are zeta values, and `mzv_numeric_bruteforce`, a literal truncated
+lattice sum with a rigorous tail bound.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import mpmath as mp
 
 from .errors import NumericBudgetError, PreconditionError
-from .ncalg import Word, bernoulli_numbers
+from .ncalg import Word
 from .periodring import Composition, PeriodElem, check_composition, is_admissible
 
 X0, X1 = "x0", "x1"
@@ -78,187 +78,6 @@ def polylog_series(k: Iterable[int], M: int) -> list[Fraction]:
             prefix += coeffs[n]
         coeffs = nxt
     return coeffs
-
-
-# ---------------------------------------------------------------------------
-# Independent check: lattice summation with Euler-Maclaurin tail acceleration.
-# Level sums S_j(m) = sum over chains n_1 < ... < n_j <= m are anchored exactly
-# at m = M0 and continued by asymptotic expansions in the basis log(m)^a / m^i,
-# level by level: the expansion of level j-1, shifted from m to m-1 and
-# multiplied by m^(-k_j), feeds the Euler-Maclaurin formula for level j.
-# ---------------------------------------------------------------------------
-
-
-class _Expansion:
-    """Finite combination of basis functions log(x)^a / x^i with mpf coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], mp.mpf] | None = None):
-        self.terms = terms or {}
-
-    def add_term(self, i: int, a: int, c) -> None:
-        key = (i, a)
-        cur = self.terms.get(key)
-        self.terms[key] = c if cur is None else cur + c
-
-    def plus(self, other: "_Expansion") -> "_Expansion":
-        out = _Expansion(dict(self.terms))
-        for (i, a), c in other.terms.items():
-            out.add_term(i, a, c)
-        return out
-
-    def scaled(self, c) -> "_Expansion":
-        return _Expansion({key: v * c for key, v in self.terms.items()})
-
-    def shift_power(self, k: int) -> "_Expansion":
-        """Multiply by x^(-k)."""
-        return _Expansion({(i + k, a): c for (i, a), c in self.terms.items()})
-
-    def derivative(self) -> "_Expansion":
-        out = _Expansion()
-        for (i, a), c in self.terms.items():
-            if a:
-                out.add_term(i + 1, a - 1, c * a)
-            out.add_term(i + 1, a, -c * i)
-        return out
-
-    def integral(self) -> "_Expansion":
-        """Antiderivative, no constant; input must have no i = 0 terms."""
-        out = _Expansion()
-        for (i, a), c in self.terms.items():
-            if i == 0:
-                raise PreconditionError("cannot integrate a bare log power in this basis")
-            if i == 1:
-                out.add_term(0, a + 1, c / (a + 1))
-            else:
-                fall = mp.mpf(1)
-                for t in range(a + 1):
-                    fall = fall / (i - 1)
-                    out.add_term(i - 1, a - t, -c * fall * _falling(a, t))
-        return out
-
-    def eval(self, x) -> mp.mpf:
-        lx = mp.log(x)
-        total = mp.mpf(0)
-        for (i, a), c in self.terms.items():
-            total += c * lx ** a / x ** i
-        return total
-
-    def pruned(self, x0, thresh) -> "_Expansion":
-        """Drop terms negligible at every x >= x0 (i = 0 terms are always kept)."""
-        lx = mp.log(x0)
-        out = {}
-        for (i, a), c in self.terms.items():
-            if i == 0 or abs(c) * lx ** a / x0 ** i > thresh:
-                out[(i, a)] = c
-        return _Expansion(out)
-
-
-def _falling(a: int, t: int) -> int:
-    out = 1
-    for s in range(t):
-        out *= a - s
-    return out
-
-
-def _shift_argument(exp: _Expansion, depth: int) -> _Expansion:
-    """Rewrite f(x-1) in the same basis at x, truncating the 1/x tail at `depth`."""
-    # u-series: (1-u)^(-i) and powers of P = -log(1-u) = sum u^t/t, u = 1/x.
-    log_pows: list[list[mp.mpf]] = [[mp.mpf(1)] + [mp.mpf(0)] * depth]
-    P = [mp.mpf(0)] + [mp.mpf(1) / t for t in range(1, depth + 1)]
-    amax = max((a for (_, a) in exp.terms), default=0)
-    for _ in range(amax):
-        prev = log_pows[-1]
-        nxt = [mp.mpf(0)] * (depth + 1)
-        for s in range(depth + 1):
-            if prev[s]:
-                for t in range(1, depth + 1 - s):
-                    nxt[s + t] += prev[s] * P[t]
-        log_pows.append(nxt)
-    out = _Expansion()
-    for (i, a), c in exp.terms.items():
-        # (x-1)^(-i) = x^(-i) sum_t C(i-1+t, t) x^(-t)
-        geom = [mp.mpf(math.comb(i - 1 + t, t)) for t in range(depth + 1)] if i else None
-        # log(x-1)^a = sum_b C(a,b) (-P)^b log(x)^(a-b)
-        for b in range(a + 1):
-            pb = log_pows[b]
-            sign = (-1) ** b
-            binom = math.comb(a, b)
-            for s in range(depth + 1):
-                if not pb[s]:
-                    continue
-                base = c * sign * binom * pb[s]
-                if geom is None:
-                    out.add_term(s, a - b, base)
-                else:
-                    for t in range(depth + 1 - s):
-                        out.add_term(i + s + t, a - b, base * geom[t])
-    return out
-
-
-_BERN_CACHE: list[Fraction] = []
-
-
-def _bern(n: int) -> Fraction:
-    global _BERN_CACHE
-    if n >= len(_BERN_CACHE):
-        _BERN_CACHE = bernoulli_numbers(max(n, 2 * len(_BERN_CACHE) + 16))
-    return _BERN_CACHE[n]
-
-
-def _em_asymptotic(f: _Expansion, M0: int, thresh) -> _Expansion:
-    """The m-dependent part of sum_{n<=m} f(n): antiderivative + f/2 + Bernoulli tail."""
-    G = f.integral().plus(f.scaled(mp.mpf(1) / 2))
-    deriv = f
-    r = 1
-    while True:
-        deriv = deriv.derivative().derivative() if r > 1 else deriv.derivative()
-        coeff = mp.mpf(_bern(2 * r).numerator) / _bern(2 * r).denominator / math.factorial(2 * r)
-        term = deriv.scaled(coeff)
-        mag = sum(abs(c) * mp.log(M0) ** a / mp.mpf(M0) ** i for (i, a), c in term.terms.items())
-        if mag < thresh:
-            break
-        G = G.plus(term)
-        r += 1
-        if r > 300:
-            raise NumericBudgetError("Euler-Maclaurin order exploded; raise the anchor point")
-    return G
-
-
-def _mzv_em(k: Composition, dps: int) -> mp.mpf:
-    with mp.workdps(dps):
-        M0 = 4000
-        thresh = mp.mpf(10) ** (-(dps + 8))
-        depth_u = max(8, int((dps + 12) / mp.log10(M0)) + 6)
-        # exact anchor pass: running level sums S_j(n) for n = 1..M0
-        S = [mp.mpf(0)] * (len(k) + 1)
-        S[0] = mp.mpf(1)
-        for n in range(1, M0 + 1):
-            nn = mp.mpf(n)
-            for j in range(len(k), 0, -1):
-                S[j] += S[j - 1] / nn ** k[j - 1]
-        C_prev = None
-        G_prev = None
-        for j, kj in enumerate(k, start=1):
-            if j == 1:
-                H = _Expansion({(kj, 0): mp.mpf(1)})
-            else:
-                inner = _shift_argument(G_prev, depth_u).pruned(M0, thresh)
-                inner.add_term(0, 0, C_prev)
-                H = inner.shift_power(kj)
-            G = _em_asymptotic(H, M0, thresh).pruned(M0, thresh)
-            C = S[j] - G.eval(M0)
-            C_prev, G_prev = C, G
-        for (i, a), c in G_prev.terms.items():
-            if i == 0 and abs(c) > mp.mpf(10) ** (-(dps - 2)):
-                raise NumericBudgetError(f"divergent residual {c} in level expansion: not admissible?")
-        return C_prev
-
-
-def mzv_numeric_em(k: Iterable[int], precision: int) -> mp.mpf:
-    """Zeta value by Euler-Maclaurin lattice summation, |error| < 10^(-precision); not memoized."""
-    return _mzv_em(_admissible(k), precision + 12)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +211,7 @@ def polylog_numeric(k: Iterable[int], z, precision: int) -> mp.mpc:
     with mp.workdps(dps):
         z = mp.mpc(z)
         r = abs(z)
-        if r >= 1:
+        if not r < 1:  # also a NaN modulus
             raise PreconditionError(f"|z| = {mp.nstr(r, 8)} lies outside the unit disc")
         if r >= mp.mpf(3) / 4:
             raise NumericBudgetError(f"|z| = {mp.nstr(r, 8)} too close to 1 for the chain sum")

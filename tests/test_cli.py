@@ -244,6 +244,7 @@ def test_period_eval_unbound_is_precondition(capsys, tmp_path):
 
 
 # malformed inputs that must end in a parse error (exit 2), not a Python exception
+# or a "nan" document
 MALFORMED = {
     "assignment-section-not-a-mapping": ("assign", {"y": [1]}),
     "letters-not-a-list": ("document", {"letters": 5}),
@@ -251,6 +252,11 @@ MALFORMED = {
     "term-not-a-string": ("document", {"terms": {"": 1}}),
     "term-with-zero-denominator": ("document", {"terms": {"": "7/0 * zeta(2)"}}),
     "growth-branches-not-names": ("growth", [["expand", "v0", [1, 2]]]),
+    "polylog-z-nan": ("argv", ["polylog", "2", "--z", "nan"]),
+    "eval-q-q0-nan": ("argv", ["eval-q", "4", "--q0", "nan", "--order", "10"]),
+    "eval-q-q0-nanj": ("argv", ["eval-q", "4", "--q0", "nanj", "--order", "10"]),
+    "binding-json-nan": ("assign", {"y": {"e": float("nan")}}),
+    "binding-pair-inf": ("assign", {"y": {"e": [0, "inf"]}}),
 }
 
 
@@ -258,8 +264,9 @@ MALFORMED = {
 def test_malformed_input_is_parse_error(capsys, tmp_path, kind, change):
     gpath = graph_file(tmp_path, basic_graph(2), growth=change if kind == "growth" else None)
     ppath = write_json(tmp_path, "path.json", [["rotate", "e", 1]])
-    argv = ["period", "assemble", "--graph", gpath, "--path", ppath, "--weight", "2"]
-    if kind != "growth":
+    argv = change if kind == "argv" else ["period", "assemble", "--graph", gpath,
+                                          "--path", ppath, "--weight", "2"]
+    if kind in ("assign", "document"):
         out = tmp_path / "period.json"
         assert main(argv + ["--out", str(out)]) == 0
         doc = json.loads(out.read_text())

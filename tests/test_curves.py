@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tateperiods.curves import (
     INFINITY,
@@ -26,6 +28,7 @@ from tateperiods.curves import (
 )
 from tateperiods.errors import ParseError, PreconditionError
 from tateperiods.ncalg import NCSeries, lie_bracket
+from test_acceptance import move_candidates
 
 
 def residue_letters(n):
@@ -179,6 +182,21 @@ def test_residue_move_validation():
         residue_assignment(g, [("twist", "v0")], 3)
     with pytest.raises(PreconditionError, match="malformed"):
         residue_assignment(g, [("expand",)], 3)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_random_moves_keep_vertex_sums_zero(n, data):
+    g, moves = basic_graph(n), []
+    for _ in range(data.draw(st.integers(0, 8))):
+        candidates = move_candidates(g)
+        if not candidates:
+            break
+        move = data.draw(st.sampled_from(candidates))
+        g = expand_vertex(g, *move[1:]) if move[0] == "expand" else contract_edge(g, move[1])
+        moves.append(move)
+    ra = residue_assignment(g, moves, 3)
+    assert all(s.is_zero() for s in ra.vertex_sums().values()), moves
 
 
 def test_residue_route_independence():

@@ -10,10 +10,10 @@ documents were written by the CLI (`tateperiods ... --out
 tests/golden/<name>.json`) before the code they guard was rewritten: the MZV
 documents before the fixed-point chain-sum kernel, the exact-core ones before
 the lean exact core, and `selftest`, `associator`, `eisenstein` and `graph`
-before the Euler-Maclaurin route was replaced.  They are not regenerated, so
-a change of any printed byte fails here.  Every leaf command of the parser
-has a golden except `transport`, whose documents print the truncation noise
-of words whose exact coefficient is 0.
+before the second MZV route gave way to relation checks.  They are not
+regenerated, so a change of any printed byte fails here.  Every leaf command
+of the parser has a golden except `transport`, whose documents print the
+truncation noise of words whose exact coefficient is 0.
 """
 
 import argparse

@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tateperiods import mzv
 from tateperiods.errors import NumericBudgetError, PreconditionError
 from tateperiods.mzv import (
     _chain_levels,
@@ -11,7 +15,6 @@ from tateperiods.mzv import (
     is_admissible_word,
     mzv_numeric,
     mzv_numeric_bruteforce,
-    mzv_numeric_em,
     mzv_numeric_holder,
     polylog_numeric,
     polylog_series,
@@ -80,6 +83,7 @@ def test_mzv_known_values():
         assert abs(mzv_numeric((2, 2), 35) - mp.pi ** 4 / 120) < mp.mpf(10) ** -35
         assert abs(mzv_numeric((1, 3), 35) - mp.pi ** 4 / 360) < mp.mpf(10) ** -35
         assert abs(mzv_numeric((3,), 35) - mp.zeta(3)) < mp.mpf(10) ** -35
+        assert abs(mzv_numeric((6,), 35) - mp.pi ** 6 / 945) < mp.mpf(10) ** -35
 
 
 def test_mzv_duality_and_stuffle():
@@ -90,13 +94,81 @@ def test_mzv_duality_and_stuffle():
         assert abs(lhs - rhs) < mp.mpf(10) ** -30
 
 
-def test_routes_agree():
-    ks = [(2,), (3,), (1, 2), (2, 3), (1, 1, 2), (1, 2, 3), (2, 1, 3), (1, 1, 1, 1, 2), (3, 4, 3, 2, 3)]
-    with mp.workdps(55):
-        for k in ks:
-            em = mzv_numeric_em(k, 45)
-            default = mzv_numeric(k, 45)
-            assert abs(em - default) < mp.mpf(10) ** -45, k
+# Exact relations among zeta values check the default route: each side runs
+# different chain sums, so a rounding or splitting fault shows as a mismatch.
+RELATION_PRECISION = 45
+
+
+@st.composite
+def admissible_compositions(draw, max_weight):
+    weight = draw(st.integers(2, max_weight))
+    last = draw(st.integers(2, weight))
+    parts, rest = [], weight - last
+    while rest:
+        parts.append(draw(st.integers(1, rest)))
+        rest -= parts[-1]
+    return (*parts, last)
+
+
+def dual(k):
+    """k† of the duality zeta(k) = zeta(k†): reverse the word, swap x0 and x1."""
+    swap = {"x0": "x1", "x1": "x0"}
+    return composition_of_word(tuple(swap[letter] for letter in reversed(word_of_composition(k))))
+
+
+def stuffle(a, b):
+    """Quasi-shuffle a * b as a multiplicity map over compositions."""
+    if not a or not b:
+        return Counter({a + b: 1})
+    out = Counter()
+    for head, rest in ((a[0], stuffle(a[1:], b)), (b[0], stuffle(a, b[1:])),
+                       (a[0] + b[0], stuffle(a[1:], b[1:]))):
+        for k, m in rest.items():
+            out[(head, *k)] += m
+    return out
+
+
+def assert_relation(lhs, terms):
+    """lhs = sum of m * zeta(k) over terms, relative to lhs, at RELATION_PRECISION."""
+    with mp.workdps(RELATION_PRECISION + 15):
+        rhs = mp.fsum(m * mzv_numeric(k, RELATION_PRECISION) for k, m in terms.items())
+        assert abs(lhs - rhs) <= abs(lhs) * mp.mpf(10) ** -RELATION_PRECISION, (lhs, rhs)
+
+
+def zeta_product(a, b):
+    with mp.workdps(RELATION_PRECISION + 15):
+        return mzv_numeric(a, RELATION_PRECISION) * mzv_numeric(b, RELATION_PRECISION)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(admissible_compositions(12))
+@example((1, 2))  # = zeta(3)
+@example((1, 1, 2))  # = zeta(4)
+@example((1, 1, 1, 1, 2))  # = zeta(6)
+@example((2, 3))
+@example((2, 1, 3))
+@example((3, 4, 3, 2, 3))
+def test_duality(k):
+    mzv._MZV_CACHE.clear()
+    assert_relation(mzv_numeric(k, RELATION_PRECISION), {dual(k): 1})
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(admissible_compositions(6), admissible_compositions(6))
+@example((2,), (3,))
+@example((1, 2), (3,))
+def test_stuffle(a, b):
+    mzv._MZV_CACHE.clear()
+    assert_relation(zeta_product(a, b), stuffle(a, b))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(admissible_compositions(6), admissible_compositions(6))
+@example((1, 2), (3,))
+def test_shuffle(a, b):
+    mzv._MZV_CACHE.clear()
+    words = shuffle_product(word_of_composition(a), word_of_composition(b))
+    assert_relation(zeta_product(a, b), {composition_of_word(w): m for w, m in words.items()})
 
 
 def test_chain_levels_within_depth_ulps():
@@ -160,8 +232,9 @@ def test_polylog_numeric_half():
         assert abs(v - mp.log(2)) < mp.mpf(10) ** -30
         with pytest.raises(NumericBudgetError):
             polylog_numeric((2,), mp.mpf("0.9"), 30)
-        with pytest.raises(PreconditionError):
-            polylog_numeric((2,), mp.mpf(5), 30)
+        for z in (mp.mpf(5), mp.nan):
+            with pytest.raises(PreconditionError):
+                polylog_numeric((2,), z, 30)
 
 
 def test_regularize_values():
