@@ -87,7 +87,8 @@ def _parse_scalar(value, what: str):
     try:
         if isinstance(value, float):
             number = mp.mpf(value)
-        elif isinstance(value, list) and len(value) == 2:
+        elif (isinstance(value, list) and len(value) == 2
+              and not any(isinstance(v, bool) for v in value)):
             number = mp.mpc(float(value[0]), float(value[1]))
         elif isinstance(value, str):
             try:
@@ -114,8 +115,11 @@ def _load_json(path: str):
 def _load_graph(path: str):
     data = _load_json(path)
     graph, x = graph_from_dict(data)
+    moves = data.get("growth", []) if isinstance(data, dict) else []
+    if not isinstance(moves, list):
+        raise ParseError(f"growth must be a list of moves, got {moves!r}", location=path)
     growth = []
-    for move in data.get("growth", []) if isinstance(data, dict) else []:
+    for move in moves:
         if not isinstance(move, list) or not move:
             raise ParseError(f"bad growth move {move!r}", location=path)
         if (move[0] == "expand" and len(move) == 3 and isinstance(move[2], list)
@@ -435,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = group("check", "structural checks")
     p = add("contraction", _cmd_check_contraction,
             "smoothing-parameter divisibility at a contraction", gsub)
-    p.add_argument("branches", nargs=3, metavar=("H0", "H1", "H2"))
+    p.add_argument("branches", nargs=3, metavar="BRANCH",
+                   help="h0, then the two branches pulled onto the fresh vertex")
     p.add_argument("--graph", required=True)
     p.add_argument("--order", type=int, default=6)
 

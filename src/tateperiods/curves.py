@@ -9,10 +9,10 @@ from fractions import Fraction
 
 from .elliptic import A_LETTER, HAIN_X0, HAIN_X1, HAIN_XINF, T_LETTER, hain_hom
 from .errors import ParseError, PreconditionError
-from .kz import INFINITY
 from .ncalg import NCSeries
 
 LOOP_EDGE = "l"
+INFINITY = "inf"  # coordinate of the branch at infinity in a gluing frame
 
 
 def flip(h: str) -> str:
@@ -141,6 +141,22 @@ def validate_graph(g: StableGraph) -> dict:
         "stable": True,
         "trivalent": all(k == 3 for k in counts.values()),
     }
+
+
+def cycle_edges(g: StableGraph) -> tuple[str, ...]:
+    """Edges left once leaf edges (an endpoint on no other edge) are stripped
+    repeatedly; on a connected genus-one graph these form its one cycle."""
+    edges = dict(g.edges)
+    while True:
+        degree: dict[str, int] = {}
+        for a, b in edges.values():
+            degree[a] = degree.get(a, 0) + 1
+            degree[b] = degree.get(b, 0) + 1
+        leaves = [e for e, (a, b) in edges.items() if a != b and 1 in (degree[a], degree[b])]
+        if not leaves:
+            return tuple(edges)
+        for e in leaves:
+            del edges[e]
 
 
 def basic_graph(n: int) -> StableGraph:

@@ -1,6 +1,6 @@
 """Tate-curve side: the Hain homomorphism into Q<<T,A>>, Eisenstein q-series,
 iterated Eisenstein integrals from the cusp, and the symbolic elliptic
-associator with a pluggable numeric table.
+associator, whose opaque coefficients evaluate only through explicit bindings.
 
 q-series live in `QSeriesPoly`: finitely many terms q^n tau^m with PeriodElem
 coefficients, truncated in q at a declared order.  tau is the formal modular
@@ -239,41 +239,14 @@ def word_symbol(word: Word) -> EllipticSymbol:
     return EllipticSymbol(name="e_" + "".join(w) if w else "e_unit", weight=len(w))
 
 
-@dataclass(frozen=True)
-class EllipticAssociator:
-    """Symbolic associator series plus an optional numeric table.
-
-    Coefficients are opaque symbols; a table entry for a word routes its
-    numeric evaluation through the bound q-series."""
-
-    series: NCSeries
-    table: Mapping[Word, QSeriesPoly]
-
-    def coefficient(self, word: Iterable[str]) -> PeriodElem:
-        return self.series.coefficient(word)
-
-    def numeric_coefficient(self, word: Iterable[str], q0, precision: int) -> mp.mpc:
-        w = tuple(word)
-        bindings = {}
-        if w in self.table:
-            bindings[word_symbol(w)] = qseries_eval(self.table[w], q0, precision)
-        return numeric_eval(self.series.coefficient(w), precision, elliptic_bindings=bindings)
-
-
-def elliptic_associator(N: int, table: Mapping[Word, QSeriesPoly] | None = None) -> EllipticAssociator:
+def elliptic_associator(N: int) -> NCSeries:
     """A-cycle associator as a formal series in T, A with opaque coefficients."""
     if N < 0:
         raise PreconditionError("truncation must be >= 0")
-    table = dict(table or {})
-    for w, s in table.items():
-        word_symbol(w)
-        if not isinstance(s, QSeriesPoly):
-            raise PreconditionError("table values must be QSeriesPoly")
     coeffs: dict[Word, PeriodElem] = {(): PeriodElem.one()}
     words: list[Word] = [()]
     for _ in range(N):
         words = [w + (l,) for w in words for l in ELLIPTIC_LETTERS]
         for w in words:
             coeffs[w] = PeriodElem.elliptic(word_symbol(w))
-    series = NCSeries(ELLIPTIC_LETTERS, N, PeriodElem.one(), coeffs)
-    return EllipticAssociator(series=series, table=table)
+    return NCSeries(ELLIPTIC_LETTERS, N, PeriodElem.one(), coeffs)

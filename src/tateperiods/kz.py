@@ -30,22 +30,17 @@ from .mzv import KZ_LETTERS, X0, X1, shuffle_regularize
 from .ncalg import NCSeries, _is_zero, nc_exp, nc_inverse, nc_multiply, substitute_letters
 from .periodring import PeriodElem, to_mp
 
-INFINITY = "inf"
-
 
 @dataclass(frozen=True)
 class TangentialPoint:
-    """Base point with a tangential direction and scale.
+    """Base point with a tangential direction and a positive scale.
 
-    The direction must point into the path the transport actually takes; the
-    scale may carry a formal name (`scale_symbol`) for symbolic assembly, but
-    the oracle always uses the numeric `scale`.
+    The direction must point into the path the transport actually takes.
     """
 
     base: Fraction
     direction: Fraction = Fraction(1)
     scale: Fraction = Fraction(1)
-    scale_symbol: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "base", Fraction(self.base))
@@ -59,18 +54,21 @@ class TangentialPoint:
 
 @dataclass(frozen=True)
 class KZConnection:
-    """Finite singular points with residue series; the residue at infinity is
-    implied (sum over all points is 0) unless given explicitly under `INFINITY`."""
+    """Residue series at finitely many rational points; the residue at
+    infinity is implied (it is minus their sum) and never stored."""
 
-    residues: Mapping[object, NCSeries]
+    residues: Mapping[Fraction, NCSeries]
     trunc: int
     letters: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        res: dict[object, NCSeries] = {}
+        res: dict[Fraction, NCSeries] = {}
         letters = None
         for p, x in self.residues.items():
-            key = INFINITY if p == INFINITY else Fraction(p)
+            try:
+                key = Fraction(p)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise PreconditionError(f"singular point {p!r} is not rational") from None
             if letters is None:
                 letters = x.letters
             elif x.letters != letters:
@@ -82,23 +80,9 @@ class KZConnection:
             raise PreconditionError("a connection needs at least one residue")
         object.__setattr__(self, "residues", res)
         object.__setattr__(self, "letters", letters)
-        if INFINITY in res:
-            total = None
-            for x in res.values():
-                total = x if total is None else total + x
-            if not total.is_zero():
-                raise PreconditionError("residues (including infinity) must sum to zero")
 
     def finite_points(self) -> list[Fraction]:
-        return sorted(p for p in self.residues if p != INFINITY)
-
-    def residue_at_infinity(self) -> NCSeries:
-        if INFINITY in self.residues:
-            return self.residues[INFINITY]
-        total = None
-        for p, x in self.residues.items():
-            total = x if total is None else total + x
-        return -total
+        return sorted(self.residues)
 
 
 def associator_connection(N: int) -> KZConnection:
@@ -176,7 +160,7 @@ def numeric_transport_oracle(conn: KZConnection, frm, to, N: int, precision: int
     dps = precision + 18
     with mp.workdps(dps):
         unit = NCSeries.unit(conn.letters, N, mp.mpf(1))
-        res = {p: _to_numeric(x, N, unit.one) for p, x in conn.residues.items() if p != INFINITY}
+        res = {p: _to_numeric(x, N, unit.one) for p, x in conn.residues.items()}
         eps = mp.mpf(10) ** (-(dps - 4)) / 4
         coarse, fine = (_transport(res, frm, to, unit, eps, rho) for rho in STEP_RATIOS)
         tol = mp.mpf(10) ** (-(precision + 2))

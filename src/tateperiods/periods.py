@@ -15,11 +15,11 @@ from typing import Mapping
 
 import mpmath as mp
 
-from .curves import ResidueAssignment, StableGraph, validate_graph
-from .elliptic import A_LETTER, QSeriesPoly, T_LETTER, elliptic_associator, qseries_eval, word_symbol
+from .curves import ResidueAssignment, StableGraph, cycle_edges, validate_graph
+from .elliptic import A_LETTER, T_LETTER, elliptic_associator
 from .errors import ParseError, PreconditionError
 from .kz import fusing_connection_matrix, rotation_monodromy
-from .ncalg import NCSeries, lie_bracket, nc_exp, nc_inverse, substitute_letters
+from .ncalg import NCSeries, lie_bracket, nc_exp, nc_inverse
 from .periodring import GUARD_DIGITS, EllipticSymbol, PeriodElem, numeric_eval, to_mp
 
 MOVE_KINDS = ("rotate", "fuse", "loop", "associator")
@@ -102,10 +102,6 @@ class PeriodSeries:
         object.__setattr__(self, "fusing_parameters", tuple(self.fusing_parameters))
 
 
-def _loop_edges(g: StableGraph) -> list[str]:
-    return [e for e, (p, q) in g.edges.items() if p == q]
-
-
 def _lift_residue(assignment: ResidueAssignment, h: str, N: int) -> NCSeries:
     raw = assignment.residue(h)
     for word in raw.coeffs:
@@ -120,9 +116,10 @@ def assemble_period(assignment: ResidueAssignment, path, N: int, M: int) -> Peri
     """Product, in path order, of the monodromy factors named by the moves.
 
     Factors: rotations exponentiate i*pi times the branch residue; a fusing
-    move along edge e contributes the connection matrix pairing the loop
-    bracket [T, A] with the edge residue, times exp(-log(s_e) * residue);
-    loop traversal contributes the elliptic associator (inverted for the
+    move along an edge e off the cycle contributes the connection matrix
+    pairing the loop bracket [T, A] with the edge residue, times
+    exp(-log(s_e) * residue); loop traversal, allowed only when the cycle is
+    a single edge, contributes the elliptic associator (inverted for the
     reverse direction); a vertex associator pairs two branch residues.
 
     Trivalent vertices pin their three local points at 0, 1, infinity, so no
@@ -139,9 +136,7 @@ def assemble_period(assignment: ResidueAssignment, path, N: int, M: int) -> Peri
         raise PreconditionError("period assembly needs a trivalent graph")
     letters = assignment.letters
     one = PeriodElem.one()
-    big_T = NCSeries.letter(letters, N, one, T_LETTER)
-    big_A = NCSeries.letter(letters, N, one, A_LETTER)
-    loop_edges = _loop_edges(g)
+    cycle = cycle_edges(g)
     out = NCSeries.unit(letters, N, one)
     params: list[str] = []
     for move in path.moves:
@@ -152,24 +147,23 @@ def assemble_period(assignment: ResidueAssignment, path, N: int, M: int) -> Peri
             edge, param = move[1], move[2]
             if edge not in g.edges:
                 raise PreconditionError(f"fuse move references unknown edge {edge!r}")
-            if edge in loop_edges:
-                raise PreconditionError(
-                    "fusing along the loop is not allowed; traverse it with a loop move")
-            if N >= 2:
-                bracket = lie_bracket(big_T, big_A)
-            else:
+            if edge in cycle:
+                raise PreconditionError(f"fusing along the cycle edge {edge!r} is not allowed; "
+                                        "traverse it with a loop move")
+            if N < 2:
                 raise PreconditionError(
                     f"the loop bracket has weight 2, exceeding the weight budget {N}")
+            bracket = lie_bracket(NCSeries.letter(letters, N, one, T_LETTER),
+                                  NCSeries.letter(letters, N, one, A_LETTER))
             y = _lift_residue(assignment, edge, N)
             factor = fusing_connection_matrix(bracket, y, N)
             factor = factor * nc_exp(y.scale(-PeriodElem.log(param)))
             if param not in params:
                 params.append(param)
         elif kind == "loop":
-            if len(loop_edges) != 1:
-                raise PreconditionError("loop traversal needs exactly one loop edge")
-            images = {T_LETTER: big_T, A_LETTER: big_A}
-            lifted = substitute_letters(elliptic_associator(N).series, images)
+            if len(cycle) != 1:
+                raise PreconditionError("loop traversal needs a cycle of exactly one edge")
+            lifted = NCSeries(letters, N, one, elliptic_associator(N).coeffs)
             factor = lifted if move[1] == 1 else nc_inverse(lifted)
         else:
             vertex, (h1, h2) = move[1], move[2]
@@ -217,16 +211,15 @@ def _check_regime(label: str, assignments: Mapping[str, object]) -> None:
 
 def numeric_evaluate_period(p: PeriodSeries, y_assignments: Mapping[str, object],
                             s_assignments: Mapping[str, object], q0, precision: int,
-                            table: Mapping[tuple, QSeriesPoly] | None = None,
                             elliptic_bindings: Mapping[EllipticSymbol, object] | None = None,
                             ) -> NCSeries:
     """Evaluate every coefficient to an arbitrary-precision complex number.
 
-    Log symbols of fusing parameters bind to log of the assigned scale.
-    Elliptic symbols evaluate through `table` (word -> q-series) at the loop
-    parameter `q0`, which defaults to the y value assigned to the loop edge;
-    explicit `elliptic_bindings` win over the table.  Evaluating a symbol
-    with neither raises UnboundSymbolError.
+    Log symbols of fusing parameters bind to log of the assigned scale, and
+    elliptic symbols to their values in `elliptic_bindings`; evaluating an
+    unbound symbol raises UnboundSymbolError.  The loop parameter `q0`, when
+    given, is only checked against the analytic regime: no loop coefficient
+    is computed from it yet.
     """
     if precision < 1:
         raise PreconditionError("precision must be >= 1")
@@ -236,17 +229,7 @@ def numeric_evaluate_period(p: PeriodSeries, y_assignments: Mapping[str, object]
         if q0 is not None:
             _check_regime("loop parameter", {"q0": q0})
         bindings = {name: mp.log(mp.mpc(to_mp(v))) for name, v in s_assignments.items()}
-        if q0 is None:
-            loops = _loop_edges(p.graph)
-            if len(loops) == 1 and loops[0] in y_assignments:
-                q0 = y_assignments[loops[0]]
-        ebind: dict[EllipticSymbol, mp.mpc] = {}
-        for w, qs in (table or {}).items():
-            if q0 is None:
-                raise PreconditionError("a q-series table needs the loop parameter q0")
-            ebind[word_symbol(tuple(w))] = qseries_eval(qs, mp.mpc(to_mp(q0)), precision)
-        for sym, value in (elliptic_bindings or {}).items():
-            ebind[sym] = mp.mpc(to_mp(value))
+        ebind = {sym: mp.mpc(to_mp(value)) for sym, value in (elliptic_bindings or {}).items()}
         coeffs = {w: numeric_eval(c, precision, bindings=bindings, elliptic_bindings=ebind)
                   for w, c in p.series.coeffs.items()}
     return NCSeries(p.series.letters, p.series.trunc, mp.mpc(1), coeffs)

@@ -5,7 +5,14 @@ import mpmath as mp
 import pytest
 
 from tateperiods.cli import main, period_series_from_doc
-from tateperiods.curves import basic_graph, expand_vertex, graph_from_dict, graph_to_dict, residue_assignment
+from tateperiods.curves import (
+    basic_graph,
+    contract_edge,
+    expand_vertex,
+    graph_from_dict,
+    graph_to_dict,
+    residue_assignment,
+)
 from tateperiods.elliptic import iterated_eisenstein, qseries_eval
 from tateperiods.periods import assemble_period
 
@@ -242,9 +249,21 @@ def test_period_eval_unbound_is_precondition(capsys, tmp_path):
     assert "binding" in err
 
 
+def test_period_assemble_refuses_cycle_edges(capsys, tmp_path):
+    # the loop edge l and the edge e0 form the cycle; e1 hangs off it
+    growth = [["contract", "e"], ["expand", "v0", ["l", "t1"]], ["expand", "v0", ["t2", "t3"]]]
+    g = expand_vertex(contract_edge(basic_graph(3), "e"), "v0", ("l", "t1"))
+    gpath = graph_file(tmp_path, expand_vertex(g, "v0", ("t2", "t3")), growth=growth)
+    for moves, expected in (([["fuse", "l"]], 3), ([["fuse", "e0"]], 3),
+                            ([["loop", 1]], 3), ([["fuse", "e1"]], 0)):
+        ppath = write_json(tmp_path, "path.json", moves)
+        code, _out, err = run(capsys, ["period", "assemble", "--graph", gpath,
+                                       "--path", ppath, "--weight", "3"])
+        assert code == expected, (moves, err)
+
 
 # malformed inputs that must end in a parse error (exit 2), not a Python exception
-# or a "nan" document
+# or a "nan" document; "usage" cases are refused by the argument parser itself
 MALFORMED = {
     "assignment-section-not-a-mapping": ("assign", {"y": [1]}),
     "letters-not-a-list": ("document", {"letters": 5}),
@@ -257,6 +276,10 @@ MALFORMED = {
     "eval-q-q0-nanj": ("argv", ["eval-q", "4", "--q0", "nanj", "--order", "10"]),
     "binding-json-nan": ("assign", {"y": {"e": float("nan")}}),
     "binding-pair-inf": ("assign", {"y": {"e": [0, "inf"]}}),
+    "binding-pair-bool": ("assign", {"y": {"e": [True, False]}}),
+    "growth-not-a-list": ("growth", 7),
+    "contraction-branch-like-an-option": (
+        "usage", ["check", "contraction", "-e0", "t1", "t2", "--graph", "graph.json"]),
 }
 
 
@@ -264,6 +287,12 @@ MALFORMED = {
 def test_malformed_input_is_parse_error(capsys, tmp_path, kind, change):
     gpath = graph_file(tmp_path, basic_graph(2), growth=change if kind == "growth" else None)
     ppath = write_json(tmp_path, "path.json", [["rotate", "e", 1]])
+    if kind == "usage":
+        with pytest.raises(SystemExit) as exc:
+            main(change)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        return
     argv = change if kind == "argv" else ["period", "assemble", "--graph", gpath,
                                           "--path", ppath, "--weight", "2"]
     if kind in ("assign", "document"):

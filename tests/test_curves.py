@@ -15,6 +15,7 @@ from tateperiods.curves import (
     compose_path,
     contract_edge,
     contraction_parameter_check,
+    cycle_edges,
     edge_of,
     expand_vertex,
     expansion_names,
@@ -139,6 +140,14 @@ def test_loop_migration_round_trip():
     assert ex.edges["l"] == ("v0", "v0")
     assert ex.edges["e0"] == ("w", "v0")
     assert contract_edge(ex, "e0") == g
+
+
+def test_cycle_edges():
+    assert cycle_edges(basic_graph(1)) == ("l",)
+    assert cycle_edges(basic_graph(4)) == ("l",)
+    g = expand_vertex(contract_edge(basic_graph(3), "e"), "v0", ("l", "t1"))
+    g = expand_vertex(g, "v0", ("t2", "t3"))
+    assert cycle_edges(g) == ("e0", "l")  # e1 is a leaf edge to the tails t2, t3
 
 
 def test_basic_residues():

@@ -17,7 +17,7 @@ from tateperiods.elliptic import (
 )
 from tateperiods.errors import NumericBudgetError, PreconditionError, UnboundSymbolError
 from tateperiods.ncalg import NCSeries, lie_bracket
-from tateperiods.periodring import PeriodElem
+from tateperiods.periodring import PeriodElem, numeric_eval
 
 
 def letter(name, N):
@@ -152,20 +152,25 @@ def test_qseries_eval_guards():
 
 
 def test_associator_contract():
-    table = {("T", "A"): iterated_eisenstein((4,), 30)}
-    ea = elliptic_associator(2, table)
+    ea = elliptic_associator(2)
+    assert (ea.letters, ea.trunc) == (ELLIPTIC_LETTERS, 2)
     assert ea.coefficient(()) == PeriodElem.one()
-    assert ea.coefficient(("T",)) == PeriodElem.elliptic(word_symbol(("T",)))
+    assert len(ea.coeffs) == 7
+    for w, c in ea.coeffs.items():
+        if w:
+            assert c == PeriodElem.elliptic(word_symbol(w))
+            assert word_symbol(w).weight == len(w)
     with pytest.raises(UnboundSymbolError):
-        ea.numeric_coefficient(("A",), mp.mpf("0.1"), 20)
+        numeric_eval(ea.coefficient(("A",)), 20)
     with mp.workdps(40):
-        got = ea.numeric_coefficient(("T", "A"), mp.mpf("0.1"), 20)
-        ref = qseries_eval(table[("T", "A")], mp.mpf("0.1"), 20)
+        ref = qseries_eval(iterated_eisenstein((4,), 30), mp.mpf("0.1"), 20)
+        got = numeric_eval(ea.coefficient(("T", "A")), 20,
+                           elliptic_bindings={word_symbol(("T", "A")): ref})
         assert abs(got - ref) < mp.mpf(10) ** -18
 
 
-def test_associator_validates_table():
+def test_associator_validates_words():
     with pytest.raises(PreconditionError):
-        elliptic_associator(2, {("T", "B"): QSeriesPoly.constant(1, 3)})
+        word_symbol(("T", "B"))
     with pytest.raises(PreconditionError):
-        elliptic_associator(2, {("T",): "not a series"})
+        elliptic_associator(-1)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import tateperiods
 from tateperiods.errors import PreconditionError
 from tateperiods.kz import (
     KZConnection,
@@ -35,14 +40,29 @@ def test_tangential_point_validation():
 def test_connection_validation():
     x0 = frac_letter(X0, 2)
     x1 = frac_letter(X1, 2)
-    conn = KZConnection({Fraction(0): x0, Fraction(1): -x1}, 2)
-    assert conn.residue_at_infinity() == x1 - x0
-    # explicit infinity must close the sum
-    KZConnection({Fraction(0): x0, Fraction(1): -x1, "inf": x1 - x0}, 2)
-    with pytest.raises(PreconditionError):
-        KZConnection({Fraction(0): x0, Fraction(1): -x1, "inf": x1}, 2)
+    conn = KZConnection({1: -x1, "0": x0}, 2)
+    assert conn.finite_points() == [Fraction(0), Fraction(1)]
+    # infinity is implied, never a key
+    for bad in ("inf", None, float("nan")):
+        with pytest.raises(PreconditionError, match="not rational"):
+            KZConnection({Fraction(0): x0, bad: -x1}, 2)
     with pytest.raises(PreconditionError):
         KZConnection({Fraction(0): NCSeries.unit(KZ_LETTERS, 2, Fraction(1))}, 2)
+    with pytest.raises(PreconditionError, match="alphabet"):
+        KZConnection({Fraction(0): x0, Fraction(1): NCSeries.letter(("y",), 2, Fraction(1), "y")}, 2)
+    with pytest.raises(PreconditionError, match="at least one"):
+        KZConnection({}, 2)
+
+
+def test_kz_imports_neither_curves_nor_elliptic():
+    # kz sits below curves and elliptic, so transport-only callers never load them
+    src = str(Path(tateperiods.__file__).resolve().parents[1])
+    probe = ("import sys, tateperiods.kz\n"
+             "heavy = {'tateperiods.curves', 'tateperiods.elliptic'} & set(sys.modules)\n"
+             "sys.exit(' '.join(sorted(heavy)) or None)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_associator_low_weight_coefficients():

@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 
 from tateperiods.curves import basic_graph, residue_assignment
-from tateperiods.elliptic import eisenstein_series, word_symbol
+from tateperiods.elliptic import word_symbol
 from tateperiods.errors import ParseError, PreconditionError, UnboundSymbolError
 from tateperiods.kz import (
     KZConnection,
@@ -198,19 +198,16 @@ def test_numeric_regime_and_bindings():
     assert out.coefficient(()) == 1
 
 
-def test_numeric_loop_table_and_default_q0():
+def test_numeric_loop_bindings_and_q0():
     ra = assignment()
     loop = assemble_period(ra, [("loop", 1)], 1, 8)
-    table = {("T",): eisenstein_series(4, 30), ("A",): eisenstein_series(6, 30)}
-    with pytest.raises(UnboundSymbolError):
-        numeric_evaluate_period(loop, {}, {}, None, 20)
     for q0 in (Fraction(2, 5), 0):
         with pytest.raises(PreconditionError, match="analytic regime"):
-            numeric_evaluate_period(loop, {}, {}, q0, 20, table=table)
-    explicit = numeric_evaluate_period(loop, {}, {}, Fraction(1, 10), 20, table=table)
-    defaulted = numeric_evaluate_period(loop, {"l": Fraction(1, 10)}, {}, None, 20, table=table)
-    for w in (("T",), ("A",)):
-        assert abs(explicit.coefficient(w) - defaulted.coefficient(w)) == 0
+            numeric_evaluate_period(loop, {}, {}, q0, 20)
+    # neither an in-regime q0 nor the loop edge's y binds a loop symbol
+    for y, q0 in (({}, None), ({}, Fraction(1, 10)), ({"l": Fraction(1, 10)}, None)):
+        with pytest.raises(UnboundSymbolError):
+            numeric_evaluate_period(loop, y, {}, q0, 20)
     bound = numeric_evaluate_period(loop, {}, {}, None, 20,
                                     elliptic_bindings={word_symbol(("T",)): 2,
                                                        word_symbol(("A",)): 3})
